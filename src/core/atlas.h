@@ -42,8 +42,8 @@
 /// Backends live in string-keyed registries — staging::stager_registry()
 /// ("ilp", "bnb", "snuqs", "auto"), kernelize::kernelizer_registry()
 /// ("dp", "ordered", "greedy", "best"), exec::executor_registry()
-/// ("inmemory", "offload", "auto") — and new engines plug in without
-/// touching core headers:
+/// ("inmemory", "device"; "auto" picks one per cluster shape) — and new
+/// engines plug in without touching core headers:
 ///
 ///   staging::stager_registry().add("mine", [] { return
 ///       std::make_shared<MyStager>(); });

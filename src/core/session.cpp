@@ -276,7 +276,7 @@ Session::Session(SessionConfig config)
       shape_salt_(shape_salt_of(config_)),
       stager_(staging::stager_registry().create(config_.stager)),
       kernelizer_(kernelize::kernelizer_registry().create(config_.kernelizer)),
-      executor_(exec::executor_registry().create(config_.executor)),
+      executor_(exec::make_executor(config_.executor, config_.cluster)),
       pipeline_([this] {
         CompilePipeline::Config pc;
         pc.shape = shape_of(config_);
@@ -297,7 +297,6 @@ Session::Session(SessionConfig config)
               : std::min<std::size_t>(
                     4, std::max<std::size_t>(
                            1, std::thread::hardware_concurrency())))) {
-  executor_->validate(config_.cluster);
   if (!config_.trace_path.empty()) {
     obs::Tracer::instance().start(config_.trace_path);
     trace_started_ = true;
@@ -390,29 +389,20 @@ void Session::dispatch_each(
   for (auto& f : futures) f.get();  // rethrows the first task failure
 }
 
-std::vector<SimulationResult> Session::fan_out(
-    std::size_t count,
-    const std::function<SimulationResult(std::size_t)>& run_point) const {
-  std::vector<SimulationResult> results(count);
-  dispatch_each(count,
-                [&](std::size_t i) { results[i] = run_point(i); });
-  return results;
-}
-
 SimulationResult Session::run(const CompiledCircuit& compiled,
                               const ParamBinding& binding) const {
   check_compiled(compiled, "run");
-  return run_with_slots(compiled, compiled.slot_values(binding));
+  return run_point(compiled, compiled.slot_values(binding));
 }
 
 SimulationResult Session::run(const CompiledCircuit& compiled,
                               const std::vector<double>& symbol_values) const {
   check_compiled(compiled, "run");
-  return run_with_slots(compiled, compiled.slot_values_from(symbol_values));
+  return run_point(compiled, compiled.slot_values_from(symbol_values));
 }
 
-SimulationResult Session::run_with_slots(const CompiledCircuit& compiled,
-                                         SlotValues values) const {
+SimulationResult Session::result_shell(const CompiledCircuit& compiled,
+                                       SlotValues values) const {
   SimulationResult result;
   result.plan = compiled.plan();
   // The dense slot table is both the execution input and the
@@ -422,13 +412,17 @@ SimulationResult Session::run_with_slots(const CompiledCircuit& compiled,
   // Sampling seed keyed by the run's identity (not a call counter):
   // equal runs sample equal shots, and sweep results are independent
   // of dispatch-pool completion order.
-  {
-    Fnv f;
-    f.mix(compiled.plan_key());
-    for (double v : result.slot_values) f.mix_double(v);
-    result.seed = rng_stream_seed(config_.seed, f.value());
-  }
+  Fnv f;
+  f.mix(compiled.plan_key());
+  for (double v : result.slot_values) f.mix_double(v);
+  result.seed = rng_stream_seed(config_.seed, f.value());
   result.state = executor_->initial_state(*result.plan, cluster_);
+  return result;
+}
+
+SimulationResult Session::run_point(const CompiledCircuit& compiled,
+                                    SlotValues values) const {
+  SimulationResult result = result_shell(compiled, std::move(values));
   ParamEnv env;
   env.slots = &result.slot_values;
   result.report =
@@ -436,33 +430,42 @@ SimulationResult Session::run_with_slots(const CompiledCircuit& compiled,
   return result;
 }
 
-std::vector<SimulationResult> Session::run_batch_with_slots(
-    const CompiledCircuit& compiled, std::vector<SlotValues> values) const {
-  std::vector<SimulationResult> results(values.size());
-  std::vector<exec::BatchPoint> points(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    SimulationResult& r = results[i];
-    r.plan = compiled.plan();
-    r.slot_values = std::move(values[i]);
-    // Identical seed derivation to run_with_slots(): batching must not
-    // change any sample stream.
-    Fnv f;
-    f.mix(compiled.plan_key());
-    for (double v : r.slot_values) f.mix_double(v);
-    r.seed = rng_stream_seed(config_.seed, f.value());
-    r.state = executor_->initial_state(*r.plan, cluster_);
-    points[i].state = &r.state;
-    points[i].env.slots = &r.slot_values;
+void Session::run_points(
+    const CompiledCircuit& compiled, std::size_t count, std::size_t batch,
+    const std::function<SlotValues(std::size_t)>& values,
+    const std::function<void(std::size_t, SimulationResult&)>& sink) const {
+  if (!executor_->batched_launches(cluster_.config())) {
+    dispatch_each(count, [&](std::size_t i) {
+      SimulationResult result = run_point(compiled, values(i));
+      sink(i, result);
+    });
+    return;
   }
-  std::vector<exec::ExecutionReport> reports =
-      executor_->execute_batch(*compiled.plan(), cluster_, points);
-  ATLAS_CHECK(reports.size() == results.size(),
-              "executor '" << executor_->name() << "' returned "
-                           << reports.size() << " batch reports for "
-                           << results.size() << " points");
-  for (std::size_t i = 0; i < results.size(); ++i)
-    results[i].report = std::move(reports[i]);
-  return results;
+  // Batched launches: each batch ships as one command list per stage
+  // (constant kernels bind once, every point enqueues only its delta).
+  // Every batch point's state is resident at once, so `batch` bounds
+  // peak memory. The states are allocated and freed on this thread, so
+  // consecutive batches reuse one allocator arena.
+  for (std::size_t begin = 0; begin < count; begin += batch) {
+    const std::size_t n = std::min(batch, count - begin);
+    std::vector<SimulationResult> results(n);
+    std::vector<exec::BatchPoint> points(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      results[j] = result_shell(compiled, values(begin + j));
+      points[j].state = &results[j].state;
+      points[j].env.slots = &results[j].slot_values;
+    }
+    std::vector<exec::ExecutionReport> reports =
+        executor_->execute_batch(*compiled.plan(), cluster_, points);
+    ATLAS_CHECK(reports.size() == n,
+                "executor '" << executor_->name() << "' returned "
+                             << reports.size() << " batch reports for " << n
+                             << " points");
+    dispatch_each(n, [&](std::size_t j) {
+      results[j].report = std::move(reports[j]);
+      sink(begin + j, results[j]);
+    });
+  }
 }
 
 std::future<SimulationResult> Session::submit(const CompiledCircuit& compiled,
@@ -487,15 +490,12 @@ std::vector<SimulationResult> Session::sweep(
       ATLAS_CHECK_ARG(bindings[i].contains(s), "sweep binding #"
                                                << i << " is missing symbol '"
                                                << s << "'");
-  if (executor_->batched_launches(cluster_.config())) {
-    std::vector<SlotValues> values;
-    values.reserve(bindings.size());
-    for (const ParamBinding& b : bindings)
-      values.push_back(compiled.slot_values(b));
-    return run_batch_with_slots(compiled, std::move(values));
-  }
-  return fan_out(bindings.size(),
-                 [&](std::size_t i) { return run(compiled, bindings[i]); });
+  std::vector<SimulationResult> results(bindings.size());
+  run_points(
+      compiled, results.size(), results.size(),
+      [&](std::size_t i) { return compiled.slot_values(bindings[i]); },
+      [&](std::size_t i, SimulationResult& r) { results[i] = std::move(r); });
+  return results;
 }
 
 std::vector<SimulationResult> Session::sweep(
@@ -508,26 +508,25 @@ std::vector<SimulationResult> Session::sweep(
                 "sweep point #" << i << " has " << points[i].size()
                                 << " values but the compiled circuit takes "
                                 << want << " symbols");
-  if (executor_->batched_launches(cluster_.config())) {
-    std::vector<SlotValues> values;
-    values.reserve(points.size());
-    for (const std::vector<double>& p : points)
-      values.push_back(compiled.slot_values_from(p));
-    return run_batch_with_slots(compiled, std::move(values));
-  }
-  return fan_out(points.size(),
-                 [&](std::size_t i) { return run(compiled, points[i]); });
+  std::vector<SimulationResult> results(points.size());
+  run_points(
+      compiled, results.size(), results.size(),
+      [&](std::size_t i) { return compiled.slot_values_from(points[i]); },
+      [&](std::size_t i, SimulationResult& r) { results[i] = std::move(r); });
+  return results;
 }
 
 exec::ExecutionReport Session::execute(const exec::ExecutionPlan& plan,
                                        exec::DistState& state) const {
-  return executor_->execute(plan, cluster_, state);
+  return executor_->execute(plan, cluster_, state, ParamEnv{});
 }
 
 exec::ExecutionReport Session::execute(const exec::ExecutionPlan& plan,
                                        exec::DistState& state,
                                        const ParamBinding& binding) const {
-  return executor_->execute(plan, cluster_, state, &binding);
+  ParamEnv env;
+  env.named = &binding;
+  return executor_->execute(plan, cluster_, state, env);
 }
 
 SimulationResult Session::simulate(const Circuit& circuit) const {

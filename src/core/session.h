@@ -91,7 +91,9 @@ struct SessionConfig : SimulatorConfig {
   std::string stager = "auto";
   /// Kernelization engine (kernelize::kernelizer_registry() key).
   std::string kernelizer = "best";
-  /// Execution backend (exec::executor_registry() key).
+  /// Execution backend: an exec::executor_registry() key ("inmemory",
+  /// "device", or a user backend), or "auto", resolved once at Session
+  /// construction (exec::make_executor).
   std::string executor = "auto";
   /// Plans retained in the LRU cache; 0 disables caching.
   std::size_t plan_cache_capacity = 64;
@@ -284,8 +286,9 @@ class Session {
   std::future<SimulationResult> submit(const CompiledCircuit& compiled,
                                        ParamBinding binding) const;
 
-  /// Fans `bindings` across the dispatch pool against one shared plan
-  /// (the variational-sweep hot path). Results are positionally
+  /// Runs `bindings` against one shared plan (the variational-sweep hot
+  /// path): fanned across the dispatch pool, or as one execute_batch()
+  /// on backends with batched launches. Results are positionally
   /// aligned with `bindings`.
   std::vector<SimulationResult> sweep(const CompiledCircuit& compiled,
                                       std::vector<ParamBinding> bindings) const;
@@ -373,30 +376,30 @@ class Session {
   exec::ExecutionPlan build_plan(const Circuit& circuit) const;
   std::shared_ptr<const exec::ExecutionPlan> plan_memoized(
       std::uint64_t key, const Circuit& circuit) const;
-  /// Shared tail of every run() flavor: executes the compiled plan
-  /// under a dense slot table (the only parameter path the executor
-  /// sees — zero string lookups).
-  SimulationResult run_with_slots(const CompiledCircuit& compiled,
-                                  SlotValues values) const;
-  /// Batched tail of sweep()/run_noisy() for backends with
-  /// batched_launches(): builds every point's result shell (plan,
-  /// slot values, derived seed, initial state) and ships the whole set
-  /// through ExecutorBackend::execute_batch — one command list per
-  /// stage instead of one execute() per point. Bit-identical to
-  /// calling run_with_slots() per point.
-  std::vector<SimulationResult> run_batch_with_slots(
-      const CompiledCircuit& compiled, std::vector<SlotValues> values) const;
+  /// A point's result before execution: the compiled plan, its slot
+  /// values, the run's sampling seed (keyed by the plan and the values,
+  /// never by dispatch order), and the initial state.
+  SimulationResult result_shell(const CompiledCircuit& compiled,
+                                SlotValues values) const;
+  /// Runs one point on the calling thread: result_shell() + execute.
+  SimulationResult run_point(const CompiledCircuit& compiled,
+                             SlotValues values) const;
+  /// Runs `count` points of `compiled`, point i under values(i), and
+  /// hands each finished result to sink(i, result), which may move from
+  /// it. Both callbacks must be thread-safe: sink runs on the dispatch
+  /// pool. The one place the schedule is chosen: in-place backends fan
+  /// the points out one per task, so each result is consumed and
+  /// dropped as it finishes; backends with batched_launches() run
+  /// `batch` points at a time through one execute_batch() call.
+  /// Bit-identical either way.
+  void run_points(
+      const CompiledCircuit& compiled, std::size_t count, std::size_t batch,
+      const std::function<SlotValues(std::size_t)>& values,
+      const std::function<void(std::size_t, SimulationResult&)>& sink) const;
   /// Guards shared by run()/sweep(): valid handle, matching shape.
   void check_compiled(const CompiledCircuit& compiled, const char* what) const;
-  /// Fans `count` points across the dispatch pool and joins them;
-  /// `run_point` must be thread-safe and outlives the call (fan_out
-  /// blocks until every future resolves).
-  std::vector<SimulationResult> fan_out(
-      std::size_t count,
-      const std::function<SimulationResult(std::size_t)>& run_point) const;
-  /// As fan_out() for void tasks writing their own outputs (trajectory
-  /// partials): runs fn(i) for i in [0, count) on the dispatch pool,
-  /// joins all, rethrows the first failure after every task finished.
+  /// Runs fn(i) for i in [0, count) on the dispatch pool, joins all,
+  /// and rethrows the first failure after every task finished.
   void dispatch_each(std::size_t count,
                      const std::function<void(std::size_t)>& fn) const;
 
@@ -417,10 +420,11 @@ class Session {
   /// the destructor issues the matching stop() (which writes the JSON
   /// once the last tracing Session goes away).
   bool trace_started_ = false;
-  /// Runs submit() jobs; must be distinct from the cluster pool (whose
-  /// wait_idle() a job calls transitively via execute_plan) and must be
-  /// the first member destroyed so in-flight jobs finish while the rest
-  /// of the session is still alive.
+  /// Runs submit() jobs; must be distinct from the cluster pool (a job
+  /// blocks on cluster-pool work — parallel_for over shards, device
+  /// launches — so sharing one pool could starve it) and must be the
+  /// first member destroyed so in-flight jobs finish while the rest of
+  /// the session is still alive.
   std::unique_ptr<ThreadPool> dispatch_pool_;
 };
 

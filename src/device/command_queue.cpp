@@ -1,6 +1,8 @@
 #include "device/command_queue.h"
 
 #include <exception>
+#include <functional>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -184,15 +186,22 @@ void CommandQueue::run_command(Command& cmd) {
       static obs::Counter& launches =
           obs::counter(obs::names::kDeviceLaunches);
       launches.inc();
-      auto task = [this, fn = std::move(cmd.fn), g = cmd.exec_token,
-                   b = cmd.buffer_token] {
+      // Every copy of `task` shares one `fn`, so the copy that runs can
+      // release it for all of them.
+      auto fn = std::make_shared<std::function<void()>>(std::move(cmd.fn));
+      auto task = [this, fn, g = cmd.exec_token, b = cmd.buffer_token] {
         std::exception_ptr error;
         try {
           obs::TraceSpan span(obs::names::kSpanDeviceLaunch, g);
-          fn();
+          (*fn)();
         } catch (...) {
           error = std::current_exception();
         }
+        // Release the closure, and every DeviceBuffer it captured,
+        // before reporting completion: ~CommandQueue returns the moment
+        // pending_total_ reaches zero, and no captured handle may
+        // outlive it.
+        *fn = nullptr;
         finish_launch(g, b, std::move(error));
       };
       try {

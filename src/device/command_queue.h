@@ -49,7 +49,8 @@ class CommandQueue {
   CommandQueue(ThreadPool& pool, int num_exec_tokens, int num_buffer_tokens);
 
   /// Drains every command still enqueued, waits for in-flight launches,
-  /// and joins the worker. Pending errors are swallowed here (sync()
+  /// and joins the worker; on return every launch closure, and every
+  /// DeviceBuffer handle it captured, has been released. Pending errors are swallowed here (sync()
   /// is the reporting point); destruction is never throwing.
   ~CommandQueue();
 

@@ -14,76 +14,14 @@ class InMemoryBackend final : public ExecutorBackend {
                 "the inmemory executor needs one GPU per shard: "
                     << cfg.shards_per_node() << " shards/node but only "
                     << cfg.gpus_per_node
-                    << " gpus/node; use the 'offload' executor");
-  }
-  ExecutionReport execute(const ExecutionPlan& plan,
-                          const device::Cluster& cluster, DistState& state,
-                          const ParamEnv& env) const override {
-    validate(cluster.config());  // guards direct registry users too
-    return execute_plan(plan, cluster, state, env);
-  }
-};
-
-class OffloadBackend final : public ExecutorBackend {
- public:
-  std::string name() const override { return "offload"; }
-  ExecutionReport execute(const ExecutionPlan& plan,
-                          const device::Cluster& cluster, DistState& state,
-                          const ParamEnv& env) const override {
-    // execute_plan meters the per-stage swap traffic whenever the
-    // cluster holds more shards than GPUs (Section VII-C).
-    return execute_plan(plan, cluster, state, env);
-  }
-};
-
-class AutoBackend final : public ExecutorBackend {
- public:
-  std::string name() const override { return "auto"; }
-
-  /// Resolves the backend "auto" stands for under `cfg`: "inmemory"
-  /// when every shard fits a GPU, otherwise "device" (batched launches
-  /// plus real staging beat the metering-only "offload" backend).
-  /// Throws a typed capacity error when no backend is viable —
-  /// offloading rules out "inmemory" by definition, so if the device
-  /// staging arena does not fit either, there is nothing left to pick.
-  static std::shared_ptr<ExecutorBackend> resolve(
-      const device::ClusterConfig& cfg) {
-    if (!cfg.offloading()) return executor_registry().create("inmemory");
-    std::shared_ptr<ExecutorBackend> device =
-        executor_registry().create("device");
-    try {
-      device->validate(cfg);
-    } catch (const Error& e) {
-      throw Error(
-          std::string("no executor backend can serve this cluster shape: "
-                      "'inmemory' needs one GPU per shard (") +
-              std::to_string(cfg.shards_per_node()) + " shards/node, " +
-              std::to_string(cfg.gpus_per_node) +
-              " gpus/node) and 'device' refused it: " + e.what(),
-          ErrorCode::capacity);
-    }
-    return device;
-  }
-
-  void validate(const device::ClusterConfig& cfg) const override {
-    resolve(cfg);  // surfaces the typed capacity error at construction
-  }
-  bool batched_launches(const device::ClusterConfig& cfg) const override {
-    return resolve(cfg)->batched_launches(cfg);
-  }
-  DistState initial_state(const ExecutionPlan& plan,
-                          const device::Cluster& cluster) const override {
-    return resolve(cluster.config())->initial_state(plan, cluster);
-  }
-  ExecutionReport execute(const ExecutionPlan& plan,
-                          const device::Cluster& cluster, DistState& state,
-                          const ParamEnv& env) const override {
-    return resolve(cluster.config())->execute(plan, cluster, state, env);
+                    << " gpus/node; use the 'device' executor");
   }
   std::vector<ExecutionReport> execute_batch(
       const ExecutionPlan& plan, const device::Cluster& cluster,
       const std::vector<BatchPoint>& points) const override {
-    return resolve(cluster.config())->execute_batch(plan, cluster, points);
+    validate(cluster.config());  // guards direct registry users too
+    InPlaceRunner runner(cluster);
+    return execute_plan(plan, cluster, points, runner);
   }
 };
 
@@ -93,12 +31,36 @@ ExecutorRegistry& executor_registry() {
   static ExecutorRegistry* registry = [] {
     auto* r = new ExecutorRegistry("executor");
     r->add("inmemory", [] { return std::make_shared<InMemoryBackend>(); });
-    r->add("offload", [] { return std::make_shared<OffloadBackend>(); });
     r->add("device", [] { return std::make_shared<DeviceExecutor>(); });
-    r->add("auto", [] { return std::make_shared<AutoBackend>(); });
     return r;
   }();
   return *registry;
+}
+
+std::shared_ptr<ExecutorBackend> make_executor(
+    const std::string& name, const device::ClusterConfig& cfg) {
+  if (name != "auto") {
+    std::shared_ptr<ExecutorBackend> backend =
+        executor_registry().create(name);
+    backend->validate(cfg);
+    return backend;
+  }
+  if (!cfg.offloading()) return executor_registry().create("inmemory");
+  // Offloading rules out "inmemory" by definition, so if the device
+  // staging arena does not fit either, there is nothing left to pick.
+  std::shared_ptr<ExecutorBackend> device = executor_registry().create("device");
+  try {
+    device->validate(cfg);
+  } catch (const Error& e) {
+    throw Error(
+        std::string("no executor backend can serve this cluster shape: "
+                    "'inmemory' needs one GPU per shard (") +
+            std::to_string(cfg.shards_per_node()) + " shards/node, " +
+            std::to_string(cfg.gpus_per_node) +
+            " gpus/node) and 'device' refused it: " + e.what(),
+        ErrorCode::capacity);
+  }
+  return device;
 }
 
 }  // namespace atlas::exec

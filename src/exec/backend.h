@@ -8,31 +8,25 @@
 ///  * "inmemory" — every shard GPU-resident; refuses clusters
 ///    configured for DRAM offloading (typed atlas::Error) so capacity
 ///    mistakes surface at session construction, not mid-run.
-///  * "offload"  — offload-aware: shards may outnumber GPUs and swap
-///    through them, with the staging traffic metered (Section VII-C).
 ///  * "device"   — device-style backend (exec/device_executor.h):
 ///    explicit buffer lifecycle, an async command queue overlapping
 ///    copies with kernel replay, and batched launches that amortize
-///    per-point setup across a sweep or trajectory batch.
-///  * "auto"     — "device" when offloading (typed capacity error when
-///    the staging arena does not fit either), "inmemory" otherwise.
+///    per-point setup across a sweep or trajectory batch. Serves DRAM
+///    offloading shapes, where shards outnumber GPUs and swap through
+///    them (Section VII-C).
+///
+/// SessionConfig::executor also accepts "auto", which make_executor()
+/// resolves once per cluster shape to one of the two.
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/registry.h"
 #include "exec/executor.h"
 
 namespace atlas::exec {
-
-/// One point of a batched execution: the point's initial state (run in
-/// place) and its parameter environment. The pointees must stay alive
-/// for the whole execute_batch() call.
-struct BatchPoint {
-  DistState* state = nullptr;
-  ParamEnv env;
-};
 
 /// An execution runtime. Implementations run a plan over a distributed
 /// state, mutating the state in place and returning timing/traffic.
@@ -49,72 +43,55 @@ class ExecutorBackend {
   virtual void validate(const device::ClusterConfig&) const {}
 
   /// Builds the initial |0...0> state for `plan` (stage 0's partition
-  /// as the initial layout). Overridable for backends with bespoke
-  /// placement.
-  virtual DistState initial_state(const ExecutionPlan& plan,
-                                  const device::Cluster& cluster) const {
+  /// as the initial layout).
+  DistState initial_state(const ExecutionPlan& plan,
+                          const device::Cluster& cluster) const {
     return exec::initial_state(plan, cluster);
   }
-
-  /// Runs `plan` over `state` on `cluster`. `env` supplies values for
-  /// any symbolic parameters the plan's gates carry (compile-once /
-  /// bind-many): a dense slot table for canonical plans, a named
-  /// binding for free user symbols, or both; it may be empty for
-  /// fully-bound plans. Implementations must thread it through to
-  /// stage-program compilation.
-  virtual ExecutionReport execute(const ExecutionPlan& plan,
-                                  const device::Cluster& cluster,
-                                  DistState& state,
-                                  const ParamEnv& env) const = 0;
 
   /// True when this backend amortizes per-point work across a batch on
   /// `cfg`-shaped clusters: Session::sweep()/run_noisy() then route
   /// whole point sets through execute_batch() (one command list per
   /// stage, bind-many deltas) instead of fanning execute() out per
-  /// point. Takes the config because delegating backends ("auto")
-  /// answer per shape.
+  /// point.
   virtual bool batched_launches(const device::ClusterConfig&) const {
     return false;
   }
 
-  /// Runs `plan` once per batch point, mutating each point's state in
-  /// place and returning one report per point, in order. Results must
-  /// be bit-identical to calling execute() per point — batching is a
-  /// scheduling optimization, never a semantic one. The default does
-  /// exactly that serial loop; backends returning batched_launches()
-  /// override it with a fused schedule.
+  /// Runs `plan` once per batch point on `cluster`, mutating each
+  /// point's state in place and returning one report per point, in
+  /// order. Each point's `env` supplies values for any symbolic
+  /// parameters the plan's gates carry (compile-once / bind-many): a
+  /// dense slot table for canonical plans, a named binding for free user
+  /// symbols, or both; it may be empty for fully-bound plans. Results
+  /// must be bit-identical to running each point alone — batching is a
+  /// scheduling optimization, never a semantic one.
   virtual std::vector<ExecutionReport> execute_batch(
       const ExecutionPlan& plan, const device::Cluster& cluster,
-      const std::vector<BatchPoint>& points) const {
-    std::vector<ExecutionReport> reports;
-    reports.reserve(points.size());
-    for (const BatchPoint& p : points)
-      reports.push_back(execute(plan, cluster, *p.state, p.env));
-    return reports;
-  }
+      const std::vector<BatchPoint>& points) const = 0;
 
-  /// Convenience for named-binding callers (may be null).
+  /// Runs `plan` over one state: a batch of one.
   ExecutionReport execute(const ExecutionPlan& plan,
                           const device::Cluster& cluster, DistState& state,
-                          const ParamBinding* binding) const {
-    ParamEnv env;
-    env.named = binding;
-    return execute(plan, cluster, state, env);
-  }
-
-  /// Convenience for fully-bound plans.
-  ExecutionReport execute(const ExecutionPlan& plan,
-                          const device::Cluster& cluster,
-                          DistState& state) const {
-    return execute(plan, cluster, state, ParamEnv{});
+                          const ParamEnv& env) const {
+    return std::move(
+        execute_batch(plan, cluster, {BatchPoint{&state, env}}).front());
   }
 };
 
 using ExecutorRegistry = Registry<ExecutorBackend>;
 
 /// The process-wide executor registry. Built-ins ("inmemory",
-/// "offload", "auto") are registered on first access; user backends
-/// may be added any time with executor_registry().add(name, factory).
+/// "device") are registered on first access; user backends may be
+/// added any time with executor_registry().add(name, factory).
 ExecutorRegistry& executor_registry();
+
+/// The backend SessionConfig::executor names for `cfg`, validated
+/// against it. "auto" resolves to "inmemory" when every shard has a GPU
+/// and to "device" when offloading, with a typed capacity error when
+/// the device staging arena does not fit either; any other name is
+/// created from executor_registry().
+std::shared_ptr<ExecutorBackend> make_executor(
+    const std::string& name, const device::ClusterConfig& cfg);
 
 }  // namespace atlas::exec

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
-#include "common/timer.h"
 #include "device/buffer.h"
 #include "device/command_queue.h"
-#include "exec/remap.h"
 #include "exec/stage_program.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -17,188 +16,89 @@
 namespace atlas::exec {
 namespace {
 
-/// Everything allocated once per execute()/execute_batch() call: the
-/// staging arena, the command queue, and the double-buffered slots.
-/// Per-point execution pays this whole setup every call — exactly the
-/// fixed cost batching amortizes away.
-struct DeviceContext {
-  int gpus = 0;  ///< modeled GPUs in use: min(total GPUs, shards)
-  Index shard_size = 0;
-  std::size_t shard_bytes = 0;
-  device::StagingPool arena;
-  std::unique_ptr<device::CommandQueue> queue;
-  std::vector<device::DeviceBuffer> slots;  ///< 2 per GPU
-
-  DeviceContext(const device::Cluster& cluster, const DistState& state) {
+/// The device shard runner: everything allocated once per
+/// execute()/execute_batch() call — the staging arena, the command
+/// queue, and the double-buffered slots. Per-point execution pays this
+/// whole setup every call — exactly the fixed cost batching amortizes
+/// away.
+class DeviceRunner final : public ShardRunner {
+ public:
+  explicit DeviceRunner(const device::Cluster& cluster) {
     const auto& cfg = cluster.config();
-    gpus = std::min(cfg.total_gpus(), state.num_shards());
-    shard_size = state.shard_size();
-    shard_bytes = static_cast<std::size_t>(shard_size) * sizeof(Amp);
-    queue = std::make_unique<device::CommandQueue>(cluster.pool(), gpus,
-                                                   2 * gpus);
-    slots.reserve(static_cast<std::size_t>(2 * gpus));
-    for (int i = 0; i < 2 * gpus; ++i)
-      slots.push_back(arena.allocate(shard_bytes));
+    gpus_ = std::min(cfg.total_gpus(), cfg.num_shards());
+    shard_size_ = Index{1} << cfg.local_qubits;
+    shard_bytes_ = static_cast<std::size_t>(shard_size_) * sizeof(Amp);
+    queue_ = std::make_unique<device::CommandQueue>(cluster.pool(), gpus_,
+                                                    2 * gpus_);
+    slots_.reserve(static_cast<std::size_t>(2 * gpus_));
+    for (int i = 0; i < 2 * gpus_; ++i)
+      slots_.push_back(arena_.allocate(shard_bytes_));
   }
-};
 
-/// Enqueues one point's replay of `program` over every shard of
-/// `state`, pipelined: per round, all H2Ds land first, then all
-/// launches, then the *previous* round's D2Hs — so while round r
-/// replays out of one slot parity, the worker is already filling the
-/// other parity with round r+1's shards. FIFO order keeps each slot's
-/// copy/launch/copy dependence correct; the pending-count domains in
-/// the queue provide the cross-command waits.
-void enqueue_stage(DeviceContext& ctx,
-                   std::shared_ptr<const StageProgram> program,
-                   DistState& state) {
-  const int shards = state.num_shards();
-  const int gpus = ctx.gpus;
-  const int rounds = (shards + gpus - 1) / gpus;
-  const auto slot_of = [&](int r, int g) { return g * 2 + (r & 1); };
-  const auto each_gpu = [&](int r, const std::function<void(int, int)>& fn) {
-    for (int g = 0; g < gpus; ++g) {
-      const int s = r * gpus + g;
-      if (s >= shards) break;
-      fn(g, s);
+  /// Enqueues one point's replay of `program` over every shard of
+  /// `state`, pipelined: per round, all H2Ds land first, then all
+  /// launches, then the *previous* round's D2Hs — so while round r
+  /// replays out of one slot parity, the worker is already filling the
+  /// other parity with round r+1's shards. FIFO order keeps each slot's
+  /// copy/launch/copy dependence correct; the pending-count domains in
+  /// the queue provide the cross-command waits. The walk remaps and
+  /// binds the next point while the queue drains this one.
+  void run(std::shared_ptr<const StageProgram> program,
+           DistState& state) override {
+    // The stage's first program carries every kernel — the
+    // constant-table upload, paid once per stage per call.
+    if (!stage_uploaded_) {
+      static obs::Counter& const_uploads =
+          obs::counter(obs::names::kDeviceConstUploads);
+      const_uploads.inc();
+      stage_uploaded_ = true;
     }
-  };
-  for (int r = 0; r < rounds; ++r) {
-    each_gpu(r, [&](int g, int s) {
-      ctx.queue->enqueue_h2d(ctx.slots[slot_of(r, g)], state.shard(s).data(),
-                             ctx.shard_bytes, slot_of(r, g));
-    });
-    each_gpu(r, [&](int g, int s) {
-      device::DeviceBuffer buf = ctx.slots[slot_of(r, g)];
-      ctx.queue->enqueue_launch(
-          [program, buf, s, size = ctx.shard_size] {
-            std::vector<Amp> scratch;
-            run_stage_program(*program, s, buf.data(), size, scratch);
-          },
-          g, slot_of(r, g));
-    });
-    if (r > 0) {
-      each_gpu(r - 1, [&](int g, int s) {
-        ctx.queue->enqueue_d2h(ctx.slots[slot_of(r - 1, g)],
-                               state.shard(s).data(), ctx.shard_bytes,
-                               slot_of(r - 1, g));
+    const int shards = state.num_shards();
+    const int rounds = (shards + gpus_ - 1) / gpus_;
+    const auto slot_of = [](int r, int g) { return g * 2 + (r & 1); };
+    const auto each_gpu = [&](int r, const auto& fn) {
+      for (int g = 0; g < gpus_ && r * gpus_ + g < shards; ++g)
+        fn(g, r * gpus_ + g);
+    };
+    // One extra round (with no shards of its own) downloads the last.
+    for (int r = 0; r <= rounds; ++r) {
+      each_gpu(r, [&](int g, int s) {
+        queue_->enqueue_h2d(slots_[slot_of(r, g)], state.shard(s).data(),
+                            shard_bytes_, slot_of(r, g));
       });
+      each_gpu(r, [&](int g, int s) {
+        device::DeviceBuffer buf = slots_[slot_of(r, g)];
+        queue_->enqueue_launch(
+            [program, buf, s, size = shard_size_] {
+              std::vector<Amp> scratch;
+              run_stage_program(*program, s, buf.data(), size, scratch);
+            },
+            g, slot_of(r, g));
+      });
+      if (r > 0) {
+        each_gpu(r - 1, [&](int g, int s) {
+          queue_->enqueue_d2h(slots_[slot_of(r - 1, g)],
+                              state.shard(s).data(), shard_bytes_,
+                              slot_of(r - 1, g));
+        });
+      }
     }
   }
-  each_gpu(rounds - 1, [&](int g, int s) {
-    ctx.queue->enqueue_d2h(ctx.slots[slot_of(rounds - 1, g)],
-                           state.shard(s).data(), ctx.shard_bytes,
-                           slot_of(rounds - 1, g));
-  });
-}
 
-/// The shared plan walk. `points` run stage-major: every point remaps,
-/// delta-binds, and enqueues its stage commands while the queue is
-/// still replaying earlier points, and one sync per stage closes the
-/// pipeline. With a single point this is the honest per-point path —
-/// same code, but the caller paid a fresh DeviceContext for it.
-std::vector<ExecutionReport> run_on_device(const ExecutionPlan& plan,
-                                           const device::Cluster& cluster,
-                                           const std::vector<BatchPoint>& points) {
-  const auto& cfg = cluster.config();
-  ATLAS_CHECK(!points.empty(), "device execution over an empty batch");
-  for (const BatchPoint& p : points) {
-    ATLAS_CHECK(p.state, "null state in a device batch point");
-    ATLAS_CHECK(p.state->num_qubits() == cfg.total_qubits(),
-                "state does not match the cluster shape");
-  }
-  static obs::Counter& runs = obs::counter(obs::names::kExecRuns);
-  static obs::Counter& const_uploads =
-      obs::counter(obs::names::kDeviceConstUploads);
-  runs.add(points.size());
-
-  Timer total_timer;
-  DeviceContext ctx(cluster, *points.front().state);
-  std::vector<ExecutionReport> reports(points.size());
-
-  std::int64_t stage_index = 0;
-  for (const PlannedStage& stage : plan.stages) {
-    obs::TraceSpan stage_span(obs::names::kSpanDeviceStage, stage_index);
-    Timer stage_timer;
-    // First binding of the stage materializes every kernel — the
-    // constant-table upload, paid once per context; later points share
-    // its parameter-independent kernels and bind only their delta.
-    std::shared_ptr<const StageProgram> base;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      DistState& state = *points[p].state;
-      const ParamEnv& env = points[p].env;
-      StageReport sr;
-
-      // SHARD: permute the point's state into the stage's partition
-      // (host-side; overlaps the queue draining earlier points).
-      {
-        Timer t;
-        const Layout target = Layout::for_partition(
-            stage.partition, cfg.local_qubits, cfg.regional_qubits,
-            state.layout());
-        sr.stats += remap(state, target, cluster);
-        sr.comm_seconds = t.seconds();
-      }
-
-      Timer t;
-      ATLAS_CHECK(!stage.subcircuit.is_parameterized() || !env.empty(),
-                  "execution plan has unbound symbolic parameters ("
-                      << stage.subcircuit.symbols().front()
-                      << ", ...); pass a ParamBinding");
-      obs::TraceSpan bind_span(obs::names::kSpanExecBind, stage_index);
-      const std::shared_ptr<const StageSkeleton> skeleton =
-          stage.skeleton->get_or_build(state.layout(), [&] {
-            return compile_stage_skeleton(stage.subcircuit, stage.kernels,
-                                          state.layout());
-          });
-      auto program = std::make_shared<const StageProgram>(
-          bind_stage_program(stage.subcircuit, *skeleton, env, base.get()));
-      if (!base) {
-        base = program;
-        const_uploads.inc();
-      }
-      bind_span.end();
-
-      // Cost-model metering, field-for-field identical to
-      // execute_plan() so modeled times are backend-comparable.
-      for (const auto& kernel : stage.kernels.kernels)
-        sr.stats.kernel_bytes += static_cast<std::uint64_t>(
-            kernel.cost * static_cast<double>(ctx.shard_size) * sizeof(Amp) *
-            state.num_shards());
-      if (cfg.offloading()) {
-        const std::uint64_t reloads =
-            plan.offload_reload_per_kernel
-                ? std::max<std::uint64_t>(1, stage.kernels.kernels.size())
-                : 1;
-        sr.stats.offload_bytes += 2ull * reloads * state.num_shards() *
-                                  ctx.shard_size * sizeof(Amp);
-      }
-
-      enqueue_stage(ctx, std::move(program), state);
-      state.layout().shard_xor = base->final_xor;
-      sr.compute_seconds = t.seconds();
-
-      reports[p].totals += sr.stats;
-      reports[p].comm_seconds += sr.comm_seconds;
-      reports[p].compute_seconds += sr.compute_seconds;
-      reports[p].stages.push_back(std::move(sr));
-    }
-    // Stage barrier: every point's shards must be back on the host
-    // before the next stage remaps them.
-    ctx.queue->sync();
-    {
-      static obs::Histogram& stage_us =
-          obs::histogram(obs::names::kExecStageUs);
-      stage_us.observe(stage_timer.seconds() * 1e6);
-    }
-    stage_span.end();
-    ++stage_index;
+  void barrier() override {
+    queue_->sync();
+    stage_uploaded_ = false;
   }
 
-  const double wall = total_timer.seconds();
-  for (ExecutionReport& r : reports) r.wall_seconds = wall;
-  return reports;
-}
+ private:
+  int gpus_ = 0;  ///< modeled GPUs in use: min(total GPUs, shards)
+  Index shard_size_ = 0;
+  std::size_t shard_bytes_ = 0;
+  bool stage_uploaded_ = false;
+  device::StagingPool arena_;
+  std::unique_ptr<device::CommandQueue> queue_;
+  std::vector<device::DeviceBuffer> slots_;  ///< 2 per GPU
+};
 
 }  // namespace
 
@@ -223,17 +123,6 @@ void DeviceExecutor::validate(const device::ClusterConfig& cfg) const {
   }
 }
 
-ExecutionReport DeviceExecutor::execute(const ExecutionPlan& plan,
-                                        const device::Cluster& cluster,
-                                        DistState& state,
-                                        const ParamEnv& env) const {
-  validate(cluster.config());
-  std::vector<BatchPoint> one(1);
-  one[0].state = &state;
-  one[0].env = env;
-  return std::move(run_on_device(plan, cluster, one).front());
-}
-
 std::vector<ExecutionReport> DeviceExecutor::execute_batch(
     const ExecutionPlan& plan, const device::Cluster& cluster,
     const std::vector<BatchPoint>& points) const {
@@ -248,7 +137,8 @@ std::vector<ExecutionReport> DeviceExecutor::execute_batch(
   }
   obs::TraceSpan batch_span(obs::names::kSpanDeviceBatch,
                             static_cast<std::int64_t>(points.size()));
-  return run_on_device(plan, cluster, points);
+  DeviceRunner runner(cluster);
+  return execute_plan(plan, cluster, points, runner);
 }
 
 }  // namespace atlas::exec

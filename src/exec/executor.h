@@ -6,7 +6,8 @@
 /// all-to-all reshard between stages and launching each stage's
 /// kernels on every shard in parallel. Supports DRAM offloading: when
 /// the cluster has fewer GPUs than shards, shards are swapped through
-/// the GPUs and the staging traffic is metered.
+/// the GPUs and the staging traffic is metered. There is one walk; how
+/// shards reach a GPU is the ShardRunner's business.
 
 #include <memory>
 #include <vector>
@@ -65,22 +66,60 @@ struct ExecutionReport {
                          int nodes) const;
 };
 
-/// Executes `plan` on `cluster` over `state`. Plans hold only gate
-/// *structure*; each stage is compiled once per run into a StageProgram
-/// (matrices materialized against `env`, gates localized, kernels
-/// lowered) and replayed across shards, so a plan whose gates carry
-/// symbolic parameters (compile-once / bind-many) executes by resolving
-/// them against env.slots (dense slot table, canonical plans) or
-/// env.named (free user symbols). Passing a plan with unbound symbols
-/// and an empty env throws atlas::Error.
+/// One point of a plan walk: the point's initial state (run in place)
+/// and its parameter environment. The pointees must stay alive for the
+/// whole call.
+struct BatchPoint {
+  DistState* state = nullptr;
+  ParamEnv env;
+};
+
+/// The shard-replay seam of the plan walk: how one point's bound stage
+/// reaches its shards. In place, the shards are replayed on the
+/// cluster pool; the device backend stages them through a command
+/// queue instead (exec/device_executor.cpp).
+class ShardRunner {
+ public:
+  virtual ~ShardRunner() = default;
+  /// Replays `program` on every shard of `state`. May return before the
+  /// replay finishes; the walk calls barrier() before the next stage.
+  virtual void run(std::shared_ptr<const StageProgram> program,
+                   DistState& state) = 0;
+  /// Blocks until every replay run() started has finished.
+  virtual void barrier() {}
+};
+
+/// In-place replay: the point's shards run directly on the host buffers
+/// over the cluster pool, and run() returns once they all finished.
+class InPlaceRunner final : public ShardRunner {
+ public:
+  explicit InPlaceRunner(const device::Cluster& cluster) : cluster_(cluster) {}
+  void run(std::shared_ptr<const StageProgram> program,
+           DistState& state) override;
+
+ private:
+  const device::Cluster& cluster_;
+};
+
+/// EXECUTE over a list of points, stage by stage: per stage, each point
+/// remaps into the stage's partition, binds the stage (cached skeleton;
+/// later points delta-bind against the first point's program, so their
+/// parameter-independent kernels are shared), and hands the program to
+/// `runner`; one barrier closes the stage. Plans hold only gate
+/// *structure*: symbolic parameters resolve against each point's
+/// env.slots (dense slot table, canonical plans) or env.named (free user
+/// symbols). Passing a plan with unbound symbols and an empty env throws
+/// atlas::Error. Returns one report per point, in order; results are
+/// bit-identical to walking each point alone.
+std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
+                                          const device::Cluster& cluster,
+                                          const std::vector<BatchPoint>& points,
+                                          ShardRunner& runner);
+
+/// The walk for one point with in-place replay.
 ExecutionReport execute_plan(const ExecutionPlan& plan,
                              const device::Cluster& cluster, DistState& state,
                              const ParamEnv& env = {});
-
-/// Compatibility overload: named-binding-only environments.
-ExecutionReport execute_plan(const ExecutionPlan& plan,
-                             const device::Cluster& cluster, DistState& state,
-                             const ParamBinding* binding);
 
 /// Convenience: build the initial distributed state for a plan (stage
 /// 0's partition as the initial layout, which is free — Eq. (2) only

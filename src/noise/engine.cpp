@@ -37,7 +37,7 @@ constexpr std::uint64_t kMeasureSalt = 0x6d65617375726531ull;
 /// executor go in chunks of this many points: within a chunk every
 /// trajectory's state is resident at once (the batch schedule needs
 /// them), so the chunk bounds peak memory the way the streaming
-/// per-trajectory path did, while still amortizing per-point executor
+/// per-trajectory path does, while still amortizing per-point executor
 /// setup across the chunk.
 constexpr std::size_t kTrajectoryBatchChunk = 32;
 
@@ -168,38 +168,17 @@ noise::NoisyResult Session::run_noisy(
       else
         base[i] = options.binding.at(sym);  // throws naming the symbol
     }
-    if (executor_->batched_launches(cluster_.config())) {
-      // Batched launches: each chunk of trajectories ships as one
-      // command list per stage (constant kernels bind once, every
-      // trajectory enqueues only its sampled-angle delta). Seeds,
-      // states, and sample streams are bit-identical to the
-      // per-trajectory path — batching is scheduling, not semantics.
-      for (std::size_t begin = 0; begin < count;
-           begin += kTrajectoryBatchChunk) {
-        const std::size_t n = std::min(kTrajectoryBatchChunk, count - begin);
-        std::vector<SlotValues> chunk(n);
-        dispatch_each(n, [&](std::size_t j) {
+    run_points(
+        compiled, count, kTrajectoryBatchChunk,
+        [&](std::size_t t) {
           std::vector<double> values = base;
-          prog.sample_pauli_angles(seed, begin + j, positions, values);
-          chunk[j] = compiled.slot_values_from(values);
+          prog.sample_pauli_angles(seed, t, positions, values);
+          return compiled.slot_values_from(values);
+        },
+        [&](std::size_t t, const SimulationResult& r) {
+          partials[t] = partial_of(r.state, readout, options.shots,
+                                   options.accumulate_probabilities, seed, t);
         });
-        const std::vector<SimulationResult> results =
-            run_batch_with_slots(compiled, std::move(chunk));
-        dispatch_each(n, [&](std::size_t j) {
-          partials[begin + j] =
-              partial_of(results[j].state, readout, options.shots,
-                         options.accumulate_probabilities, seed, begin + j);
-        });
-      }
-    } else {
-      dispatch_each(count, [&](std::size_t t) {
-        std::vector<double> values = base;
-        prog.sample_pauli_angles(seed, t, positions, values);
-        const SimulationResult r = run(compiled, values);
-        partials[t] = partial_of(r.state, readout, options.shots,
-                                 options.accumulate_probabilities, seed, t);
-      });
-    }
   } else {
     // General Kraus: each trajectory carries its own sampled operator
     // matrices, so it is lowered and planned per outcome *pattern* —
@@ -208,35 +187,40 @@ noise::NoisyResult Session::run_noisy(
     // lower to identical circuits, so a run-local memo (small pattern
     // spaces only — the bound caps the memo's plan count) collapses N
     // trajectory plans to the number of distinct patterns actually
-    // drawn; a racing rebuild of the same pattern is harmless — both
-    // plans are identical — and the first insertion wins. The final
-    // norm^2 is the trajectory's weight; partial_of() threads it
+    // drawn: the first trajectory to draw a pattern builds its plan,
+    // and every other one, concurrent ones included, waits for it. The
+    // final norm^2 is the trajectory's weight; partial_of() threads it
     // through sampling and the Builder keeps the mixture estimator
     // unbiased.
     const bool memoize =
         pattern_space(prog.sites(), kKrausPatternMemoMaxPatterns) <=
         kKrausPatternMemoMaxPatterns;
+    struct MemoEntry {
+      std::once_flag built;
+      std::shared_ptr<const exec::ExecutionPlan> plan;
+    };
     std::mutex memo_mu;
-    std::map<std::vector<int>, std::shared_ptr<const exec::ExecutionPlan>>
-        memo;
+    std::map<std::vector<int>, MemoEntry> memo;  // nodes never move
     dispatch_each(count, [&](std::size_t t) {
       const std::vector<int> outcomes = prog.sample_outcomes(seed, t);
-      std::shared_ptr<const exec::ExecutionPlan> plan;
-      if (memoize) {
-        std::lock_guard<std::mutex> lock(memo_mu);
-        const auto it = memo.find(outcomes);
-        if (it != memo.end()) plan = it->second;
-      }
-      if (!plan) {
+      const auto build = [&] {
         Circuit lowered = prog.lower_outcomes(outcomes);
         if (lowered.is_parameterized())
           lowered = lowered.bind(options.binding);
-        plan = std::make_shared<const exec::ExecutionPlan>(
+        return std::make_shared<const exec::ExecutionPlan>(
             build_plan(lowered));
-        if (memoize) {
+      };
+      std::shared_ptr<const exec::ExecutionPlan> plan;
+      if (memoize) {
+        MemoEntry* entry = nullptr;
+        {
           std::lock_guard<std::mutex> lock(memo_mu);
-          plan = memo.emplace(outcomes, std::move(plan)).first->second;
+          entry = &memo[outcomes];
         }
+        std::call_once(entry->built, [&] { entry->plan = build(); });
+        plan = entry->plan;
+      } else {
+        plan = build();
       }
       exec::DistState state = executor_->initial_state(*plan, cluster_);
       executor_->execute(*plan, cluster_, state, ParamEnv{});

@@ -75,6 +75,7 @@ inline constexpr char kSpanExecStage[] = "exec.stage";
 inline constexpr char kSpanExecBind[] = "exec.bind";
 inline constexpr char kSpanExecShard[] = "exec.shard";
 inline constexpr char kSpanNoiseBatch[] = "noise.batch";
+/// No longer emitted: device walks record exec.stage like every walk.
 inline constexpr char kSpanDeviceStage[] = "device.stage";
 inline constexpr char kSpanDeviceBatch[] = "device.batch";
 inline constexpr char kSpanDeviceH2D[] = "device.h2d";

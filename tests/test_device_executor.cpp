@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/families.h"
@@ -24,6 +28,7 @@
 #include "device/command_queue.h"
 #include "exec/backend.h"
 #include "exec/device_executor.h"
+#include "exec/executor.h"
 #include "exec/stage_program.h"
 #include "noise/channel.h"
 #include "noise/model.h"
@@ -79,6 +84,15 @@ SessionConfig shaped(const std::string& executor, int local, int regional,
   cfg.cluster.gpus_per_node = gpus > 0 ? gpus : (1 << regional);
   cfg.cluster.num_threads = 2;
   return cfg;
+}
+
+void expect_same_stats(const device::CommStats& a, const device::CommStats& b) {
+  EXPECT_EQ(a.intra_gpu_bytes, b.intra_gpu_bytes);
+  EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
+  EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
+  EXPECT_EQ(a.offload_bytes, b.offload_bytes);
+  EXPECT_EQ(a.kernel_bytes, b.kernel_bytes);
+  EXPECT_EQ(a.alltoall_rounds, b.alltoall_rounds);
 }
 
 std::vector<std::vector<double>> sweep_points(const CompiledCircuit& compiled,
@@ -151,22 +165,24 @@ TEST(DeviceExecutor, SweepBitIdenticalToInmemoryIncludingSampleStreams) {
   }
 }
 
-TEST(DeviceExecutor, OffloadingShapeMatchesOffloadBackendAndItsMetering) {
-  // 4 shards/node on 1 modeled GPU: the regime the offload backend
-  // models. The device backend must produce the same state and meter
-  // the same modeled offload/kernel traffic, field for field.
-  const Circuit c = circuits::qft(7);
+TEST(DeviceExecutor, OffloadingShapeMatchesPlanWalkAndItsMetering) {
+  // 4 shards/node on 1 modeled GPU: DRAM offloading. The device backend
+  // must produce the same state as the in-place walk on the same shape
+  // and meter the same modeled traffic, field for field.
   const Session dev(shaped("device", 4, 2, 1, /*gpus=*/1));
-  const Session off(shaped("offload", 4, 2, 1, /*gpus=*/1));
-  const SimulationResult rd = dev.simulate(c);
-  const SimulationResult ro = off.simulate(c);
+  const SimulationResult rd = dev.simulate(circuits::qft(7));
+  exec::DistState state = exec::initial_state(*rd.plan, dev.cluster());
+  ParamEnv env;
+  env.slots = &rd.slot_values;
+  const exec::ExecutionReport walked =
+      exec::execute_plan(*rd.plan, dev.cluster(), state, env);
 
-  EXPECT_EQ(amplitudes(rd), amplitudes(ro));
-  EXPECT_EQ(rd.report.totals.offload_bytes, ro.report.totals.offload_bytes);
+  EXPECT_EQ(amplitudes(rd), state.gather().amplitudes());
   EXPECT_GT(rd.report.totals.offload_bytes, 0u);
-  EXPECT_EQ(rd.report.totals.kernel_bytes, ro.report.totals.kernel_bytes);
-  EXPECT_EQ(rd.report.totals.inter_node_bytes,
-            ro.report.totals.inter_node_bytes);
+  expect_same_stats(rd.report.totals, walked.totals);
+  ASSERT_EQ(rd.report.stages.size(), walked.stages.size());
+  for (std::size_t s = 0; s < walked.stages.size(); ++s)
+    expect_same_stats(rd.report.stages[s].stats, walked.stages[s].stats);
 }
 
 TEST(DeviceExecutor, BatchedSweepBitIdenticalToPerPointRuns) {
@@ -318,13 +334,18 @@ TEST(DeviceCapacity, AutoPrefersDeviceOnOffloadingShapes) {
   obs::Counter& launches = obs::counter(obs::names::kDeviceLaunches);
   const Circuit c = circuits::ghz(6);
 
+  // "auto" is resolved once, at construction, to a concrete backend.
   const std::uint64_t before_mem = launches.value();
-  Session(shaped("auto", 4, 1, 1)).simulate(c);  // 2 GPUs, 2 shards/node
+  const Session fits(shaped("auto", 4, 1, 1));  // 2 GPUs, 2 shards/node
+  EXPECT_EQ(fits.executor().name(), "inmemory");
+  fits.simulate(c);
   EXPECT_EQ(launches.value(), before_mem)
       << "auto must keep using inmemory when every shard has a GPU";
 
   const std::uint64_t before_dev = launches.value();
-  Session(shaped("auto", 4, 1, 1, /*gpus=*/1)).simulate(c);  // offloading
+  const Session offloads(shaped("auto", 4, 1, 1, /*gpus=*/1));
+  EXPECT_EQ(offloads.executor().name(), "device");
+  offloads.simulate(c);
   EXPECT_GT(launches.value(), before_dev)
       << "auto must route offloading shapes through the device backend";
 }
@@ -417,6 +438,33 @@ TEST(CommandQueue, TeardownUnderLoadLeaksNothing) {
   EXPECT_EQ(after.live_bytes, before.live_bytes);
   EXPECT_EQ(after.allocated_blocks - before.allocated_blocks,
             after.freed_blocks - before.freed_blocks);
+}
+
+TEST(CommandQueue, DestructorReturnsAfterLaunchCapturesAreReleased) {
+  // The launch's capture sleeps in its destructor before raising the
+  // flag, so a queue that reports the launch finished while its
+  // closure is still alive returns from ~CommandQueue with the flag
+  // down.
+  struct SlowRelease {
+    explicit SlowRelease(std::atomic<bool>* flag) : released(flag) {}
+    std::atomic<bool>* released;
+    ~SlowRelease() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      released->store(true);
+    }
+  };
+  ThreadPool pool(2);
+  std::atomic<bool> released{false};
+  {
+    device::CommandQueue queue(pool, 1, 1);
+    auto capture = std::make_shared<SlowRelease>(&released);
+    queue.enqueue_launch(
+        [capture = std::move(capture)] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        },
+        0, 0);
+  }
+  EXPECT_TRUE(released.load());
 }
 
 }  // namespace

@@ -29,11 +29,15 @@ SessionConfig small_config(int local = 5, int regional = 1, int global = 1) {
   return cfg;
 }
 
-std::vector<Amp> amplitudes(const SimulationResult& r) {
-  const StateVector sv = r.state.gather();
+std::vector<Amp> amplitudes(const exec::DistState& state) {
+  const StateVector sv = state.gather();
   std::vector<Amp> out(sv.size());
   for (Index i = 0; i < sv.size(); ++i) out[i] = sv[i];
   return out;
+}
+
+std::vector<Amp> amplitudes(const SimulationResult& r) {
+  return amplitudes(r.state);
 }
 
 // --- registries ---------------------------------------------------------
@@ -43,8 +47,9 @@ TEST(Registry, BuiltinsRegistered) {
     EXPECT_TRUE(staging::stager_registry().contains(name)) << name;
   for (const char* name : {"dp", "ordered", "greedy", "best"})
     EXPECT_TRUE(kernelize::kernelizer_registry().contains(name)) << name;
-  for (const char* name : {"inmemory", "offload", "auto"})
-    EXPECT_TRUE(exec::executor_registry().contains(name)) << name;
+  // Only concrete backends: "auto" is resolved by exec::make_executor.
+  EXPECT_EQ(exec::executor_registry().names(),
+            (std::vector<std::string>{"device", "inmemory"}));
 }
 
 TEST(Registry, UnknownNameThrowsListingRegistered) {
@@ -555,16 +560,34 @@ TEST(ExecutorBackend, InMemoryRefusesOffloadClusters) {
     EXPECT_NE(std::string(e.what()).find("inmemory"), std::string::npos);
   }
 
-  cfg.executor = "offload";
-  const Session offload_session(cfg);
-  const auto r = offload_session.simulate(circuits::qft(7));
+  // "device" serves the shape: same state and same metering as the
+  // in-place plan walk on it.
+  cfg.executor = "device";
+  const Session device_session(cfg);
+  const SimulationResult r = device_session.simulate(circuits::qft(7));
+  exec::DistState state =
+      exec::initial_state(*r.plan, device_session.cluster());
+  ParamEnv env;
+  env.slots = &r.slot_values;
+  const exec::ExecutionReport walked =
+      exec::execute_plan(*r.plan, device_session.cluster(), state, env);
+  EXPECT_EQ(amplitudes(r), amplitudes(state));
   EXPECT_GT(r.report.totals.offload_bytes, 0u);
+  const device::CommStats& a = r.report.totals;
+  const device::CommStats& b = walked.totals;
+  EXPECT_EQ(a.intra_gpu_bytes, b.intra_gpu_bytes);
+  EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
+  EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
+  EXPECT_EQ(a.offload_bytes, b.offload_bytes);
+  EXPECT_EQ(a.kernel_bytes, b.kernel_bytes);
+  EXPECT_EQ(a.alltoall_rounds, b.alltoall_rounds);
 
-  // "auto" must route offload clusters to the offload backend.
+  // "auto" must route offload clusters to the device backend.
   cfg.executor = "auto";
   const Session auto_session(cfg);
+  EXPECT_EQ(auto_session.executor().name(), "device");
   EXPECT_EQ(amplitudes(auto_session.simulate(circuits::qft(7))),
-            amplitudes(offload_session.simulate(circuits::qft(7))));
+            amplitudes(r));
 }
 
 // --- kernelize_best toggle ----------------------------------------------

@@ -160,10 +160,10 @@ int run(bool smoke, const char* json_path) {
                 o.p50_us, o.p99_us, o.req_per_sec / baseline_rps);
   }
 
-  const serve::SharedPlanCache::Stats cache = server.shared_cache_stats();
+  const PlanCacheStats cache = server.store().plan_cache_stats();
   std::printf("\nshared plans: %llu entries, %llu hits / %llu misses — "
               "every tenant rode one compile\n",
-              static_cast<unsigned long long>(cache.entries),
+              static_cast<unsigned long long>(cache.size),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses));
   server.stop();

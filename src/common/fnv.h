@@ -42,10 +42,8 @@ class Fnv {
   std::uint64_t h_;
 };
 
-/// FNV-1a folding of `v` into basis `h` — the shared salting step of
-/// every plan-cache key (session.cpp value keys, pipeline.cpp
-/// structural keys). One definition so the two key spaces can never
-/// drift apart.
+/// FNV-1a folding of `v` into basis `h` — the salting step of the plan
+/// keys (pipeline.cpp shape salt, session.cpp engine salt).
 inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   Fnv f(h);
   f.mix(v);

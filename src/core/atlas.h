@@ -28,7 +28,8 @@
 ///
 ///   // Plans are reusable: a second simulate()/submit() of a
 ///   // structurally identical circuit skips PARTITION via the LRU
-///   // plan cache (keys are value-independent).
+///   // plan cache (keys are value-independent; plan() is the
+///   // uncached PARTITION).
 ///   session.simulate(atlas::circuits::qft(23));
 ///   assert(session.plan_cache_stats().hits >= 1);
 ///
@@ -69,8 +70,9 @@ class Simulator {
   const SimulatorConfig& config() const { return session_.config(); }
   const device::Cluster& cluster() const { return session_.cluster(); }
 
-  /// PARTITION: stages the circuit and kernelizes each stage. The plan
-  /// is state-independent and reusable across runs (Section III).
+  /// PARTITION: stages the circuit and kernelizes each stage, uncached.
+  /// The plan is state-independent and reusable across runs (Section
+  /// III).
   exec::ExecutionPlan plan(const Circuit& circuit) const {
     return *session_.plan(circuit);
   }

@@ -82,8 +82,9 @@ class CompiledCircuit {
   /// The parameter slot table, in slot order.
   const std::vector<Slot>& param_slots() const { return slots_; }
 
-  /// The structural plan-cache key this handle was compiled under
-  /// (structural fingerprint mixed with the cluster shape).
+  /// The structural plan key this handle was compiled under
+  /// (structural fingerprint mixed with the cluster shape; the plan
+  /// cache further salts it with the engine configuration).
   std::uint64_t plan_key() const { return plan_key_; }
 
   /// Dense slot-value table for `binding`: index k holds the value of

@@ -102,9 +102,10 @@ class CompilePipeline {
     CompileDumpHook dump;
   };
 
-  /// The plan-cache seam: compile() hands the post-optimization key and
-  /// the canonical circuit to the resolver, which returns the cached
-  /// plan or calls back into build_plan() and records the miss.
+  /// The plan-cache seam: compile() hands the post-optimization key
+  /// (plan_key()) and the canonical circuit to the resolver, which
+  /// returns the cached plan or calls back into build_plan() and
+  /// records the miss.
   using PlanResolver =
       std::function<std::shared_ptr<const exec::ExecutionPlan>(
           std::uint64_t key, const Circuit& canonical,
@@ -126,8 +127,8 @@ class CompilePipeline {
                          std::uint64_t shape_salt) const;
 
   /// The stage -> kernelize -> assemble back half, usable for any
-  /// circuit (the value-keyed Session::plan() path and the noise
-  /// engine's per-trajectory plans skip the front phases). `diag` may
+  /// circuit (the uncached Session::plan(), which the noise engine's
+  /// per-trajectory plans also use, skips the front phases). `diag` may
   /// be null.
   exec::ExecutionPlan build_plan(const Circuit& circuit,
                                  CompileDiagnostics* diag) const;

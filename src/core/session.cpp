@@ -1,16 +1,11 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <list>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
-#include "common/mutex.h"
 #include "common/fnv.h"
 #include "exec/queries.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
 #include "obs/trace.h"
 #include "staging/stage.h"
 
@@ -37,6 +32,30 @@ std::uint64_t shape_salt_of(const SessionConfig& config) {
   f.mix(static_cast<std::uint64_t>(config.cluster.global_qubits));
   f.mix(static_cast<std::uint64_t>(config.cluster.gpus_per_node));
   f.mix_double(config.stage_cost_factor);
+  return f.value();
+}
+
+/// Hash of everything besides the circuit and the shape that STAGE and
+/// KERNELIZE read. Sessions that differ here build different plans for
+/// the same circuit, so it salts every plan-cache lookup: a shared
+/// cache then never hands one of them the other's plan.
+std::uint64_t engine_salt_of(const SessionConfig& config) {
+  const staging::StagingOptions& st = config.staging;
+  const kernelize::CostModel& cm = config.cost_model;
+  Fnv f;
+  f.mix_string(config.stager);
+  f.mix_string(config.kernelizer);
+  for (long v : {static_cast<long>(st.engine), long{st.ilp.max_stages},
+                 st.ilp.node_budget, long{st.bnb.max_stages},
+                 long{st.bnb.beam_width}, long{st.bnb.max_solutions},
+                 st.bnb.node_budget, long{config.kernelize.prune_threshold},
+                 long{config.kernelize.also_try_ordered},
+                 long{cm.max_fusion_qubits}, long{cm.max_shm_qubits}})
+    f.mix(static_cast<std::uint64_t>(v));
+  for (double v : cm.fusion_cost) f.mix_double(v);
+  for (double v : {cm.shm_alpha, cm.shm_gate_1q, cm.shm_gate_2q,
+                   cm.shm_gate_3q})
+    f.mix_double(v);
   return f.value();
 }
 
@@ -138,142 +157,15 @@ void validate_session_config(const SessionConfig& config) {
               "opt_level must be in [0, 2], got " << config.opt_level);
 }
 
-/// LRU plan cache. One map holds two disjoint key spaces (distinct FNV
-/// bases): value-sensitive fingerprint() keys from plan(), which map to
-/// concrete plans, and structural_fingerprint() keys from compile()/
-/// simulate(), which map to canonicalized slot plans. Every key is
-/// additionally salted with the session's cluster shape so entries can
-/// never alias across shapes (plans embed shape-dependent partitions).
-/// num_qubits/num_gates ride along as cheap collision guards for the
-/// 64-bit hash.
-class Session::PlanCache {
- public:
-  explicit PlanCache(std::size_t capacity,
-                     std::shared_ptr<PlanCacheListener> listener)
-      : capacity_(capacity), listener_(std::move(listener)) {}
-
-  std::shared_ptr<const exec::ExecutionPlan> find(std::uint64_t key,
-                                                  const Circuit& circuit) {
-    std::shared_ptr<const exec::ExecutionPlan> found;
-    {
-      MutexLock lock(mu_);
-      if (capacity_ == 0) {
-        // Disabled caches still count misses: the counter is the
-        // replanning canary benches and tests read.
-        ++misses_;
-      } else {
-        auto it = index_.find(key);
-        if (it == index_.end() ||
-            it->second->num_qubits != circuit.num_qubits() ||
-            it->second->num_gates != circuit.num_gates()) {
-          ++misses_;
-        } else {
-          entries_.splice(entries_.begin(), entries_, it->second);  // to MRU
-          ++hits_;
-          found = it->second->plan;
-        }
-      }
-    }
-    // Telemetry outside the cache lock: the process-wide registry
-    // counters and the optional per-session listener mirror the
-    // hit/miss accounting above exactly.
-    static obs::Counter& hits = obs::counter(obs::names::kPlanCacheHits);
-    static obs::Counter& misses = obs::counter(obs::names::kPlanCacheMisses);
-    if (found != nullptr) {
-      hits.inc();
-      if (listener_) listener_->on_hit();
-    } else {
-      misses.inc();
-      if (listener_) listener_->on_miss();
-    }
-    return found;
-  }
-
-  void insert(std::uint64_t key, const Circuit& circuit,
-              std::shared_ptr<const exec::ExecutionPlan> plan) {
-    if (capacity_ == 0) return;
-    // Size the plan outside the lock; it walks every stage.
-    const std::size_t bytes = exec::approx_resident_bytes(*plan);
-    bool inserted = false;
-    bool evicted = false;
-    std::size_t evicted_bytes = 0;
-    {
-      MutexLock lock(mu_);
-      if (index_.count(key)) return;  // a concurrent planner won the race
-      entries_.push_front(Entry{key, circuit.num_qubits(),
-                                circuit.num_gates(), bytes, std::move(plan)});
-      index_[key] = entries_.begin();
-      resident_bytes_ += bytes;
-      inserted = true;
-      if (entries_.size() > capacity_) {
-        evicted_bytes = entries_.back().bytes;
-        resident_bytes_ -= evicted_bytes;
-        index_.erase(entries_.back().key);
-        entries_.pop_back();
-        ++evictions_;
-        evicted = true;
-      }
-    }
-    if (inserted && listener_) listener_->on_insert(bytes);
-    if (evicted) {
-      static obs::Counter& evictions =
-          obs::counter(obs::names::kPlanCacheEvictions);
-      evictions.inc();
-      if (listener_) listener_->on_evict(evicted_bytes);
-    }
-  }
-
-  PlanCacheStats stats() const {
-    MutexLock lock(mu_);
-    PlanCacheStats s;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.evictions = evictions_;
-    s.size = entries_.size();
-    s.capacity = capacity_;
-    s.resident_bytes = resident_bytes_;
-    return s;
-  }
-
-  void clear() {
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-    {
-      MutexLock lock(mu_);
-      entries = entries_.size();
-      bytes = resident_bytes_;
-      entries_.clear();
-      index_.clear();
-      resident_bytes_ = 0;
-    }
-    if (listener_ && entries > 0) listener_->on_clear(entries, bytes);
-  }
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    int num_qubits;
-    int num_gates;
-    std::size_t bytes;
-    std::shared_ptr<const exec::ExecutionPlan> plan;
-  };
-
-  const std::size_t capacity_;
-  const std::shared_ptr<PlanCacheListener> listener_;
-  mutable Mutex mu_;
-  std::list<Entry> entries_ ATLAS_GUARDED_BY(mu_);  // MRU at front
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_
-      ATLAS_GUARDED_BY(mu_);
-  std::uint64_t hits_ ATLAS_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ ATLAS_GUARDED_BY(mu_) = 0;
-  std::uint64_t evictions_ ATLAS_GUARDED_BY(mu_) = 0;
-  std::size_t resident_bytes_ ATLAS_GUARDED_BY(mu_) = 0;
-};
-
 Session::Session(SessionConfig config)
+    : Session(config,
+              std::make_shared<PlanCache>(config.plan_cache_capacity)) {}
+
+Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
     : config_((validate_session_config(config), std::move(config))),
       cluster_(config_.cluster),
       shape_salt_(shape_salt_of(config_)),
+      engine_salt_(engine_salt_of(config_)),
       stager_(staging::stager_registry().create(config_.stager)),
       kernelizer_(kernelize::kernelizer_registry().create(config_.kernelizer)),
       executor_(exec::make_executor(config_.executor, config_.cluster)),
@@ -289,14 +181,14 @@ Session::Session(SessionConfig config)
         return std::make_unique<CompilePipeline>(std::move(pc), stager_,
                                                  kernelizer_);
       }()),
-      plan_cache_(std::make_unique<PlanCache>(config_.plan_cache_capacity,
-                                              config_.plan_cache_listener)),
+      plan_cache_(std::move(plan_cache)),
       dispatch_pool_(std::make_unique<ThreadPool>(
           config_.dispatch_threads > 0
               ? static_cast<std::size_t>(config_.dispatch_threads)
               : std::min<std::size_t>(
                     4, std::max<std::size_t>(
                            1, std::thread::hardware_concurrency())))) {
+  ATLAS_CHECK_ARG(plan_cache_ != nullptr, "Session needs a plan cache");
   if (!config_.trace_path.empty()) {
     obs::Tracer::instance().start(config_.trace_path);
     trace_started_ = true;
@@ -314,25 +206,12 @@ Session::~Session() {
   if (trace_started_) obs::Tracer::instance().stop();
 }
 
-exec::ExecutionPlan Session::build_plan(const Circuit& circuit) const {
-  // The back half of the compile pipeline (stage -> kernelize ->
-  // assemble); the value-keyed plan() path and the noise engine's
-  // per-trajectory plans skip the optimize/canonicalize phases.
-  return pipeline_->build_plan(circuit, nullptr);
-}
-
-std::shared_ptr<const exec::ExecutionPlan> Session::plan_memoized(
-    std::uint64_t key, const Circuit& circuit) const {
-  if (auto cached = plan_cache_->find(key, circuit)) return cached;
-  auto built =
-      std::make_shared<const exec::ExecutionPlan>(build_plan(circuit));
-  plan_cache_->insert(key, circuit, built);
-  return built;
-}
-
 std::shared_ptr<const exec::ExecutionPlan> Session::plan(
     const Circuit& circuit) const {
-  return plan_memoized(fnv_mix(shape_salt_, circuit.fingerprint()), circuit);
+  // The back half of the compile pipeline (stage -> kernelize ->
+  // assemble), skipping optimize/canonicalize.
+  return std::make_shared<const exec::ExecutionPlan>(
+      pipeline_->build_plan(circuit, nullptr));
 }
 
 std::uint64_t Session::plan_key(const Circuit& circuit) const {
@@ -344,6 +223,7 @@ CompiledCircuit Session::compile(const Circuit& circuit) const {
       circuit, shape_salt_,
       [this](std::uint64_t key, const Circuit& canonical,
              CompileDiagnostics& diag) {
+        key = fnv_mix(engine_salt_, key);
         if (auto cached = plan_cache_->find(key, canonical)) {
           diag.plan_cached = true;
           return cached;

@@ -19,10 +19,11 @@
 ///
 /// Plans are state-independent and reusable across runs (paper Section
 /// III) — and parameter-value-independent for the whole rotation
-/// family. The Session exploits both: an LRU cache keyed by the
-/// circuit's *structural* fingerprint (plus the cluster shape) lets
-/// repeated workloads skip PARTITION entirely, and compile()/run()/
-/// sweep() bind symbolic parameters against one shared plan:
+/// family. The Session exploits both: an LRU cache (core/plan_cache.h)
+/// keyed by the circuit's *structural* fingerprint (plus the cluster
+/// shape and engine configuration) lets repeated workloads skip
+/// PARTITION entirely, and compile()/run()/sweep() bind symbolic
+/// parameters against one shared plan:
 ///
 ///   atlas::CompiledCircuit cc = session.compile(ansatz);   // 1 plan
 ///   auto results = session.sweep(cc, bindings);            // N runs
@@ -39,6 +40,7 @@
 #include "common/rng.h"
 #include "core/compiled.h"
 #include "core/pipeline.h"
+#include "core/plan_cache.h"
 #include "device/cluster.h"
 #include "exec/backend.h"
 #include "ir/circuit.h"
@@ -63,23 +65,6 @@ struct SimulatorConfig {
   device::CommCostModel comm = device::CommCostModel::perlmutter_like();
 };
 
-/// Optional observer of a Session's plan-cache events, invoked outside
-/// the cache lock (implementations must be thread-safe and cheap —
-/// think relaxed atomics). The serving layer uses this to maintain
-/// aggregate cache counters without walking every session on each
-/// `cache_stats` request (serve/session_store.h).
-class PlanCacheListener {
- public:
-  virtual ~PlanCacheListener() = default;
-  virtual void on_hit() = 0;
-  /// Also fired by disabled (capacity 0) caches, matching the miss
-  /// counter semantics of PlanCacheStats.
-  virtual void on_miss() = 0;
-  virtual void on_insert(std::size_t plan_bytes) = 0;
-  virtual void on_evict(std::size_t plan_bytes) = 0;
-  virtual void on_clear(std::size_t entries, std::size_t resident_bytes) = 0;
-};
-
 /// Session construction knobs: everything the legacy SimulatorConfig
 /// carried, plus backend selection by registry name and the plan-cache
 /// and dispatch shapes.
@@ -95,7 +80,8 @@ struct SessionConfig : SimulatorConfig {
   /// "device", or a user backend), or "auto", resolved once at Session
   /// construction (exec::make_executor).
   std::string executor = "auto";
-  /// Plans retained in the LRU cache; 0 disables caching.
+  /// Plans retained in the LRU cache; 0 disables caching. Ignored by
+  /// the Session constructor that takes a shared cache.
   std::size_t plan_cache_capacity = 64;
   /// Worker threads dispatching submit()/simulate_batch() jobs
   /// (0 = min(hardware, 4)). Distinct from cluster.num_threads, which
@@ -153,9 +139,6 @@ struct SessionConfig : SimulatorConfig {
   /// tracing Session is destroyed. Empty (the default) keeps tracing
   /// disabled at a cost of one relaxed atomic load per would-be span.
   std::string trace_path;
-  /// Optional plan-cache event sink (see PlanCacheListener). Null (the
-  /// default) means no callback.
-  std::shared_ptr<PlanCacheListener> plan_cache_listener;
 };
 
 struct SimulationResult {
@@ -215,20 +198,7 @@ struct SimulationResult {
   mutable std::uint64_t sample_counter_ = 0;
 };
 
-struct PlanCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  /// Entries currently resident.
-  std::size_t size = 0;
-  std::size_t capacity = 0;
-  /// Approximate heap footprint of the resident plans
-  /// (exec::approx_resident_bytes summed over entries) — lets serving
-  /// layers report cache memory, not just hit counters.
-  std::size_t resident_bytes = 0;
-};
-
-/// A long-lived simulation engine. Thread-safe: plan(), simulate(),
+/// A long-lived simulation engine. Thread-safe: compile(), simulate(),
 /// submit(), and simulate_batch() may be called concurrently; results
 /// are bit-identical to sequential execution because every job owns
 /// its state and plans are immutable once built.
@@ -238,6 +208,13 @@ class Session {
   /// field) and resolves the three backends from their registries
   /// (throws atlas::Error listing registered names on an unknown one).
   explicit Session(SessionConfig config);
+  /// As above, but compile() looks plans up in `plan_cache`, which
+  /// other sessions may share (config.plan_cache_capacity is ignored).
+  /// Cache keys are salted with the cluster shape, the stager and
+  /// kernelizer names, the cost model and the staging/kernelize
+  /// options, so a session never receives a plan built under a
+  /// different engine configuration.
+  Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache);
   ~Session();
 
   Session(const Session&) = delete;
@@ -300,21 +277,18 @@ class Session {
       const CompiledCircuit& compiled,
       const std::vector<std::vector<double>>& points) const;
 
-  /// The structural plan-cache key compile() would use for `circuit`
-  /// under this session's cluster shape (exposed for diagnostics and
-  /// cache-keying tests).
+  /// The structural key compile() would file `circuit`'s plan under:
+  /// the post-optimization structural fingerprint salted with this
+  /// session's cluster shape (exposed for diagnostics and cache-keying
+  /// tests; the plan cache further salts it with the engine
+  /// configuration).
   std::uint64_t plan_key(const Circuit& circuit) const;
   /// @}
 
-  /// PARTITION with memoization: returns the cached plan when an
-  /// identical circuit (by value-sensitive fingerprint) was planned
-  /// before, else stages + kernelizes and caches the result. The plan
-  /// embeds the circuit's concrete parameter values, so it executes
-  /// without a binding — use compile() for the value-independent
-  /// variant. Note the two paths key *disjoint* spaces of the shared
-  /// LRU cache (a plan() entry never serves compile()/simulate(), and
-  /// vice versa); to warm the cache for simulate()/sweep() traffic,
-  /// call compile(), not plan(). Immutable and thread-safe.
+  /// PARTITION, uncached: stages + kernelizes `circuit` as given. The
+  /// plan embeds the circuit's concrete parameter values, so it
+  /// executes without a binding. Every call plans afresh; compile() is
+  /// the cached, value-independent path.
   std::shared_ptr<const exec::ExecutionPlan> plan(const Circuit& circuit) const;
 
   /// EXECUTE: runs a plan over an existing distributed state via the
@@ -364,18 +338,16 @@ class Session {
                                   noise::NoisyRunOptions options = {}) const;
   /// @}
 
+  /// Stats of the session's plan cache — of every session sharing it,
+  /// when shared.
   PlanCacheStats plan_cache_stats() const;
-  /// Drops every cached plan (counters are kept). Non-const on
-  /// purpose: it mutates observable session state, unlike the
-  /// logically-const memoization the const methods do.
+  /// Drops every cached plan (counters are kept), for every session
+  /// sharing the cache. Non-const on purpose: it mutates observable
+  /// session state, unlike the logically-const memoization the const
+  /// methods do.
   void clear_plan_cache();
 
  private:
-  class PlanCache;
-
-  exec::ExecutionPlan build_plan(const Circuit& circuit) const;
-  std::shared_ptr<const exec::ExecutionPlan> plan_memoized(
-      std::uint64_t key, const Circuit& circuit) const;
   /// A point's result before execution: the compiled plan, its slot
   /// values, the run's sampling seed (keyed by the plan and the values,
   /// never by dispatch order), and the initial state.
@@ -405,17 +377,22 @@ class Session {
 
   SessionConfig config_;
   device::Cluster cluster_;
-  /// Hash of the cluster shape, mixed into every plan-cache key: two
-  /// sessions with different shapes must never share a key even for
-  /// equal circuits (plans embed shape-dependent partitions).
+  /// Hash of the cluster shape, mixed into every plan key: two sessions
+  /// with different shapes must never share a key even for equal
+  /// circuits (plans embed shape-dependent partitions).
   std::uint64_t shape_salt_ = 0;
+  /// Hash of the engine configuration a plan depends on besides the
+  /// shape (stager, kernelizer, cost model, staging/kernelize options),
+  /// mixed into every plan-cache lookup so a shared cache never hands
+  /// this session a plan another configuration built.
+  std::uint64_t engine_salt_ = 0;
   std::shared_ptr<const staging::Stager> stager_;
   std::shared_ptr<const kernelize::Kernelizer> kernelizer_;
   std::shared_ptr<const exec::ExecutorBackend> executor_;
   /// Owns phases optimize -> canonicalize -> stage -> kernelize ->
-  /// program; compile()/plan()/build_plan() all route through it.
+  /// program; compile() and plan() both route through it.
   std::unique_ptr<CompilePipeline> pipeline_;
-  std::unique_ptr<PlanCache> plan_cache_;
+  std::shared_ptr<PlanCache> plan_cache_;
   /// True when this Session's trace_path started the process tracer;
   /// the destructor issues the matching stop() (which writes the JSON
   /// once the last tracing Session goes away).

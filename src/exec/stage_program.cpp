@@ -15,7 +15,6 @@
 namespace atlas::exec {
 namespace {
 
-std::atomic<std::uint64_t> g_skeleton_compiles{0};
 std::atomic<std::uint64_t> g_kernel_binds{0};
 
 using GateSlot = StageSkeleton::GateSlot;
@@ -190,10 +189,6 @@ std::uint64_t layout_digest(const Layout& layout) {
   return f.value();
 }
 
-std::uint64_t stage_skeleton_compiles() {
-  return g_skeleton_compiles.load(std::memory_order_relaxed);
-}
-
 std::uint64_t stage_kernel_binds() {
   return g_kernel_binds.load(std::memory_order_relaxed);
 }
@@ -201,7 +196,6 @@ std::uint64_t stage_kernel_binds() {
 StageSkeleton compile_stage_skeleton(const Circuit& subcircuit,
                                      const kernelize::Kernelization& kernels,
                                      const Layout& layout) {
-  g_skeleton_compiles.fetch_add(1, std::memory_order_relaxed);
   StageSkeleton skel;
   skel.layout_digest = layout_digest(layout);
   // Pre-walk the shard_xor trajectory: anti-diagonal insular gates on

@@ -37,9 +37,9 @@
 /// fused spans — lives in a StageSkeleton that sweeps and trajectory
 /// batches compile once and cache on the plan (StageSkeletonCache on
 /// PlannedStage); per binding only the matrix values are re-filled
-/// (bind_stage_program). stage_skeleton_compiles() counts skeleton
-/// builds process-wide so tests can prove a sweep compiles each stage's
-/// structure exactly once.
+/// (bind_stage_program). The cache counts its builds into the
+/// `exec.skeleton_cache.misses` obs counter, so tests can prove a sweep
+/// compiles each stage's structure exactly once.
 
 #include <cstdint>
 #include <functional>
@@ -168,7 +168,7 @@ std::uint64_t layout_digest(const Layout& layout);
 
 /// Compiles the binding-independent skeleton of one planned stage.
 /// Throws atlas::Error when a non-insular qubit is not local (staging
-/// bug). Increments the stage_skeleton_compiles() probe.
+/// bug).
 StageSkeleton compile_stage_skeleton(const Circuit& subcircuit,
                                      const kernelize::Kernelization& kernels,
                                      const Layout& layout);
@@ -188,11 +188,6 @@ StageProgram bind_stage_program(const Circuit& subcircuit,
                                 const StageSkeleton& skeleton,
                                 const ParamEnv& env,
                                 const StageProgram* reuse = nullptr);
-
-/// Process-wide count of compile_stage_skeleton() calls. Regression
-/// probe: an S-stage sweep over N points must compile exactly S
-/// skeletons, not N*S (the cache on PlannedStage re-binds values only).
-std::uint64_t stage_skeleton_compiles();
 
 /// Process-wide count of KernelProgram materializations inside
 /// bind_stage_program(). Regression probe for the bind-many delta: a

@@ -63,8 +63,8 @@ int Circuit::num_multi_qubit_gates() const {
 namespace {
 
 std::uint64_t hash_circuit(const Circuit& circuit, bool structural) {
-  // Distinct bases keep the two key spaces from aliasing when both
-  // kinds of keys land in one plan cache.
+  // Distinct bases keep a circuit's structural and value-sensitive
+  // hashes apart.
   Fnv f(structural ? 0x2b992ddfa23249d6ull : Fnv::kDefaultBasis);
   f.mix(static_cast<std::uint64_t>(circuit.num_qubits()));
   for (const Gate& g : circuit.gates()) {

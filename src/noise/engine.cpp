@@ -4,9 +4,9 @@
 // measurement samples, optional exact distribution) so N states are
 // never resident at once, and reduces the partials in trajectory-index
 // order — floating-point accumulation is deterministic no matter how
-// the pool interleaves. Lives in noise/ but defines Session members,
-// so the general-Kraus path can reach build_plan() directly and keep
-// its per-trajectory plans out of the session's LRU cache.
+// the pool interleaves. Lives in noise/ but defines Session members;
+// the general-Kraus path plans through the uncached Session::plan(),
+// which keeps its per-trajectory plans out of the LRU plan cache.
 
 #include <algorithm>
 #include <map>
@@ -207,8 +207,7 @@ noise::NoisyResult Session::run_noisy(
         Circuit lowered = prog.lower_outcomes(outcomes);
         if (lowered.is_parameterized())
           lowered = lowered.bind(options.binding);
-        return std::make_shared<const exec::ExecutionPlan>(
-            build_plan(lowered));
+        return this->plan(lowered);
       };
       std::shared_ptr<const exec::ExecutionPlan> plan;
       if (memoize) {

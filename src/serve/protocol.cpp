@@ -228,11 +228,6 @@ void CacheStatsReply::encode(WireWriter& w) const {
   w.u64(shared_evictions);
   w.u32(shared_entries);
   w.u64(shared_resident_bytes);
-  w.u64(session_hits);
-  w.u64(session_misses);
-  w.u64(session_evictions);
-  w.u64(session_entries);
-  w.u64(session_resident_bytes);
   w.u32(sessions);
   w.u32(session_capacity);
   w.u64(sessions_purged);
@@ -245,11 +240,6 @@ CacheStatsReply CacheStatsReply::decode(WireReader& r) {
   q.shared_evictions = r.u64();
   q.shared_entries = r.u32();
   q.shared_resident_bytes = r.u64();
-  q.session_hits = r.u64();
-  q.session_misses = r.u64();
-  q.session_evictions = r.u64();
-  q.session_entries = r.u64();
-  q.session_resident_bytes = r.u64();
   q.sessions = r.u32();
   q.session_capacity = r.u32();
   q.sessions_purged = r.u64();

@@ -25,7 +25,10 @@
 
 namespace atlas::serve {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
+/// The port atlas-serve binds and atlas-servectl dials by default;
+/// bumped with kProtocolVersion so mismatched builds do not meet.
+inline constexpr int kDefaultPort = 7601;
 /// Frames longer than this are rejected and the connection dropped —
 /// the guard against garbage (or hostile) length prefixes.
 inline constexpr std::uint32_t kDefaultMaxFrameBytes = 64u << 20;
@@ -184,8 +187,9 @@ struct SubmitReply {
   static SubmitReply decode(WireReader& r);
 };
 
-/// compile reply. `shared_cache_hit` reports whether the plan came
-/// from the process-wide cross-tenant cache.
+/// compile reply. `shared_cache_hit` reports that the plan came from
+/// the store's plan cache, which every tenant session shares (no
+/// staging or kernelization ran for this compile).
 struct CompileReply {
   std::uint32_t compiled_id = 0;
   bool shared_cache_hit = false;
@@ -245,21 +249,15 @@ struct SessionInfo {
   static SessionInfo decode(WireReader& r);
 };
 
-/// cache_stats reply: the cross-tenant shared plan cache, the summed
-/// per-session plan caches, and the session store itself.
+/// cache_stats reply: the store's plan cache, which every tenant
+/// session shares, and the session store itself.
 struct CacheStatsReply {
-  // Process-wide shared CompiledCircuit cache (cross-tenant sharing).
+  // The store's shared plan cache.
   std::uint64_t shared_hits = 0;
   std::uint64_t shared_misses = 0;
   std::uint64_t shared_evictions = 0;
   std::uint32_t shared_entries = 0;
   std::uint64_t shared_resident_bytes = 0;
-  // Sum of every live tenant session's PlanCacheStats.
-  std::uint64_t session_hits = 0;
-  std::uint64_t session_misses = 0;
-  std::uint64_t session_evictions = 0;
-  std::uint64_t session_entries = 0;
-  std::uint64_t session_resident_bytes = 0;
   // Session store occupancy.
   std::uint32_t sessions = 0;
   std::uint32_t session_capacity = 0;

@@ -2,7 +2,7 @@
 /// serves the atlas-serve protocol (docs/PROTOCOL.md), and runs until
 /// SIGINT/SIGTERM or a client's shutdown op.
 ///
-///   atlas-serve --port 7600 --workers 4 --max-sessions 64
+///   atlas-serve --port 7601 --workers 4 --max-sessions 64
 ///       --ttl-ms 300000 --local-qubits 18 --regional-qubits 1
 ///       --global-qubits 1       (one command line, wrapped here)
 
@@ -27,14 +27,15 @@ int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
       << "  --host H                bind address (default 127.0.0.1)\n"
-      << "  --port P                TCP port; 0 = ephemeral (default 7600)\n"
+      << "  --port P                TCP port; 0 = ephemeral (default "
+      << atlas::serve::kDefaultPort << ")\n"
       << "  --workers N             dispatcher worker threads (default 2)\n"
       << "  --max-pending N         per-tenant in-flight bound (default 32)\n"
       << "  --max-sessions N        session store capacity (default 64)\n"
       << "  --ttl-ms MS             session idle TTL (default 300000)\n"
       << "  --purge-ms MS           purge sweep interval (default 1000)\n"
-      << "  --shared-plans N        cross-tenant plan cache entries "
-         "(default 128)\n"
+      << "  --shared-plans N        plan cache entries shared by every "
+         "session (default 128)\n"
       << "  --local-qubits N        default cluster shape for sessions\n"
       << "  --regional-qubits N\n"
       << "  --global-qubits N\n"
@@ -49,7 +50,7 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   atlas::serve::ServerConfig config;
-  config.port = 7600;
+  config.port = atlas::serve::kDefaultPort;
   long metrics_dump_seconds = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--purge-ms") {
       config.store.purge_interval = std::chrono::milliseconds(next());
     } else if (arg == "--shared-plans") {
-      config.shared_plan_capacity = static_cast<std::size_t>(next());
+      config.session.plan_cache_capacity = static_cast<std::size_t>(next());
     } else if (arg == "--local-qubits") {
       config.session.cluster.local_qubits = static_cast<int>(next());
     } else if (arg == "--regional-qubits") {

@@ -91,36 +91,25 @@ void cmd_list(atlas::serve::Client& client, bool json) {
 
 void cmd_stats(atlas::serve::Client& client, bool json) {
   const auto s = client.cache_stats();
-  const auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : 100.0 * static_cast<double>(hits) /
-                                  static_cast<double>(total);
-  };
   if (json) {
     std::cout << "{\"shared\":{\"entries\":" << s.shared_entries
               << ",\"resident_bytes\":" << s.shared_resident_bytes
               << ",\"hits\":" << s.shared_hits << ",\"misses\":"
               << s.shared_misses << ",\"evictions\":" << s.shared_evictions
-              << "},\"session\":{\"entries\":" << s.session_entries
-              << ",\"resident_bytes\":" << s.session_resident_bytes
-              << ",\"hits\":" << s.session_hits << ",\"misses\":"
-              << s.session_misses << ",\"evictions\":" << s.session_evictions
               << "},\"sessions\":{\"live\":" << s.sessions << ",\"capacity\":"
               << s.session_capacity << ",\"purged\":" << s.sessions_purged
               << "}}\n";
     return;
   }
+  const std::uint64_t lookups = s.shared_hits + s.shared_misses;
   std::cout << "shared plan cache: " << s.shared_entries << " entries, "
             << s.shared_resident_bytes << " bytes, " << s.shared_hits
             << " hits / " << s.shared_misses << " misses ("
             << std::fixed << std::setprecision(1)
-            << rate(s.shared_hits, s.shared_misses) << "% hit rate), "
-            << s.shared_evictions << " evictions\n";
-  std::cout << "session plan caches: " << s.session_entries << " entries, "
-            << s.session_resident_bytes << " bytes, " << s.session_hits
-            << " hits / " << s.session_misses << " misses ("
-            << rate(s.session_hits, s.session_misses) << "% hit rate), "
-            << s.session_evictions << " evictions\n";
+            << (lookups == 0 ? 0.0
+                             : 100.0 * static_cast<double>(s.shared_hits) /
+                                   static_cast<double>(lookups))
+            << "% hit rate), " << s.shared_evictions << " evictions\n";
   std::cout << "sessions: " << s.sessions << "/" << s.session_capacity
             << " live, " << s.sessions_purged << " purged\n";
 }
@@ -176,7 +165,7 @@ void cmd_metrics(atlas::serve::Client& client, bool json) {
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 7600;
+  int port = atlas::serve::kDefaultPort;
   bool json = false;
   std::vector<std::string> rest;
   for (int i = 1; i < argc; ++i) {

@@ -135,8 +135,6 @@ struct Server::RequestContext {
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
   store_ = std::make_unique<SessionStore>(config_.session, config_.store);
-  shared_cache_ =
-      std::make_unique<SharedPlanCache>(config_.shared_plan_capacity);
   dispatcher_ = std::make_unique<Dispatcher>(config_.workers,
                                              config_.max_pending_per_tenant);
 }
@@ -351,19 +349,13 @@ void Server::handle_inline_op(const std::shared_ptr<Connection>& conn,
         break;
       }
       case Op::cache_stats: {
-        const SharedPlanCache::Stats shared = shared_cache_->stats();
-        const PlanCacheStats local = store_->aggregate_plan_cache_stats();
+        const PlanCacheStats shared = store_->plan_cache_stats();
         CacheStatsReply reply;
         reply.shared_hits = shared.hits;
         reply.shared_misses = shared.misses;
         reply.shared_evictions = shared.evictions;
-        reply.shared_entries = static_cast<std::uint32_t>(shared.entries);
+        reply.shared_entries = static_cast<std::uint32_t>(shared.size);
         reply.shared_resident_bytes = shared.resident_bytes;
-        reply.session_hits = local.hits;
-        reply.session_misses = local.misses;
-        reply.session_evictions = local.evictions;
-        reply.session_entries = local.size;
-        reply.session_resident_bytes = local.resident_bytes;
         reply.sessions = static_cast<std::uint32_t>(store_->size());
         reply.session_capacity =
             static_cast<std::uint32_t>(store_->limits().max_sessions);
@@ -482,23 +474,14 @@ std::vector<std::uint8_t> Server::do_submit_qasm(ServeSession& session,
 std::vector<std::uint8_t> Server::do_compile(ServeSession& session,
                                              WireReader& body) {
   const std::uint32_t circuit_id = body.u32();
-  const auto stored = session.circuit(circuit_id);
-
-  // The cross-tenant fast path: the key is the post-optimization
-  // structural fingerprint mixed with the cluster shape, so any hit is
-  // a plan some session with an identical shape already built — valid
-  // for this one too (plans are state- and session-independent).
-  const std::uint64_t key = session.session().plan_key(stored->circuit);
-  std::shared_ptr<const CompiledCircuit> compiled = shared_cache_->find(key);
-  const bool shared_hit = compiled != nullptr;
-  if (!shared_hit) {
-    compiled = std::make_shared<const CompiledCircuit>(
-        session.session().compile(stored->circuit));
-    shared_cache_->insert(key, compiled);
-  }
+  // The session compiles through the store's shared plan cache: a hit
+  // reuses a plan any tenant built, while the slot table and symbols
+  // are always this tenant's own.
+  auto compiled = std::make_shared<const CompiledCircuit>(
+      session.session().compile(session.circuit(circuit_id)->circuit));
 
   CompileReply reply;
-  reply.shared_cache_hit = shared_hit;
+  reply.shared_cache_hit = compiled->diagnostics().plan_cached;
   reply.symbols = compiled->symbols();
   reply.compiled_id = session.add_compiled(std::move(compiled));
   WireWriter w;

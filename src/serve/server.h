@@ -39,8 +39,6 @@ struct ServerConfig {
   int workers = 2;
   /// Per-tenant admission bound (0 = unbounded).
   std::size_t max_pending_per_tenant = 32;
-  /// Cross-tenant shared plan cache capacity (entries).
-  std::size_t shared_plan_capacity = 128;
   std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Reply-write deadline per frame: a client that stops reading its
   /// socket for this long is declared dead and its connection is torn
@@ -50,13 +48,16 @@ struct ServerConfig {
   /// Base SessionConfig for tenant sessions (open_session overrides
   /// shape/opt_level/seed per tenant). Defaults keep each session
   /// single-threaded — serving parallelism comes from `workers`, not
-  /// from nested per-session pools.
+  /// from nested per-session pools. Its plan_cache_capacity sizes the
+  /// one plan cache every tenant session shares (128 entries by
+  /// default).
   SessionConfig session;
   StoreLimits store;
 
   ServerConfig() {
     session.cluster.num_threads = 1;
     session.dispatch_threads = 1;
+    session.plan_cache_capacity = 128;
     // A valid default cluster shape (ClusterConfig's zeros fail
     // Session validation): 12 logical qubits, 2 GPUs/node, 2 nodes.
     // Daemon operators size the real shape via the atlas-serve flags.
@@ -97,13 +98,8 @@ class Server {
   /// ended by stop().
   bool wait_shutdown();
 
-  /// \name Test/diagnostic access
-  /// @{
+  /// Test/diagnostic access.
   SessionStore& store() { return *store_; }
-  SharedPlanCache::Stats shared_cache_stats() const {
-    return shared_cache_->stats();
-  }
-  /// @}
 
  private:
   struct Connection {
@@ -158,7 +154,6 @@ class Server {
 
   ServerConfig config_;
   std::unique_ptr<SessionStore> store_;
-  std::unique_ptr<SharedPlanCache> shared_cache_;
   std::unique_ptr<Dispatcher> dispatcher_;
 
   Fd listener_;

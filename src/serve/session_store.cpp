@@ -17,58 +17,18 @@ std::int64_t now_ns() {
 
 }  // namespace
 
-void PlanCacheTelemetry::session_closed(const PlanCacheStats& final_stats) {
-  hits_.fetch_sub(final_stats.hits, std::memory_order_relaxed);
-  misses_.fetch_sub(final_stats.misses, std::memory_order_relaxed);
-  evictions_.fetch_sub(final_stats.evictions, std::memory_order_relaxed);
-  size_.fetch_sub(static_cast<std::int64_t>(final_stats.size),
-                  std::memory_order_relaxed);
-  capacity_.fetch_sub(static_cast<std::int64_t>(final_stats.capacity),
-                      std::memory_order_relaxed);
-  resident_bytes_.fetch_sub(
-      static_cast<std::int64_t>(final_stats.resident_bytes),
-      std::memory_order_relaxed);
-}
-
-PlanCacheStats PlanCacheTelemetry::totals() const {
-  const auto clamp = [](std::int64_t v) {
-    return v < 0 ? std::size_t{0} : static_cast<std::size_t>(v);
-  };
-  PlanCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  // Gauges can transiently dip negative while a departing session's
-  // subtraction races its last events; clamp rather than wrap.
-  s.size = clamp(size_.load(std::memory_order_relaxed));
-  s.capacity = clamp(capacity_.load(std::memory_order_relaxed));
-  s.resident_bytes = clamp(resident_bytes_.load(std::memory_order_relaxed));
-  return s;
-}
-
 ServeSession::ServeSession(std::uint64_t id, std::string tenant,
-                           SessionConfig config, std::chrono::milliseconds ttl,
-                           std::size_t max_results, std::size_t max_circuits,
-                           std::shared_ptr<PlanCacheTelemetry> telemetry)
+                           SessionConfig config,
+                           std::shared_ptr<PlanCache> plan_cache,
+                           std::chrono::milliseconds ttl,
+                           std::size_t max_results, std::size_t max_circuits)
     : id_(id),
       tenant_(std::move(tenant)),
       ttl_(ttl),
       max_results_(max_results),
       max_circuits_(max_circuits),
-      telemetry_(std::move(telemetry)),
-      session_(std::move(config)),
-      last_used_ns_(now_ns()) {
-  if (telemetry_) {
-    telemetry_->session_opened(session_.plan_cache_stats().capacity);
-  }
-}
-
-ServeSession::~ServeSession() {
-  // Nobody holds this session anymore (refcount hit zero), so the
-  // final stats are settled: subtracting them removes this session's
-  // entire contribution from the store aggregate.
-  if (telemetry_) telemetry_->session_closed(session_.plan_cache_stats());
-}
+      session_(std::move(config), std::move(plan_cache)),
+      last_used_ns_(now_ns()) {}
 
 double ServeSession::ttl_seconds() const {
   return std::chrono::duration<double>(ttl_).count();
@@ -181,51 +141,10 @@ std::uint32_t ServeSession::num_results() const {
   return static_cast<std::uint32_t>(results_.size());
 }
 
-std::shared_ptr<const CompiledCircuit> SharedPlanCache::find(
-    std::uint64_t key) {
-  MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  entries_.splice(entries_.begin(), entries_, it->second);  // mark MRU
-  return it->second->compiled;
-}
-
-void SharedPlanCache::insert(std::uint64_t key,
-                             std::shared_ptr<const CompiledCircuit> compiled) {
-  if (capacity_ == 0 || compiled == nullptr) return;
-  const std::size_t bytes =
-      compiled->plan() ? exec::approx_resident_bytes(*compiled->plan()) : 0;
-  MutexLock lock(mu_);
-  if (index_.count(key) != 0) return;  // racing compile; first one wins
-  entries_.push_front(Entry{key, bytes, std::move(compiled)});
-  index_[key] = entries_.begin();
-  resident_bytes_ += bytes;
-  while (entries_.size() > capacity_) {
-    const Entry& victim = entries_.back();
-    resident_bytes_ -= victim.bytes;
-    index_.erase(victim.key);
-    entries_.pop_back();
-    ++evictions_;
-  }
-}
-
-SharedPlanCache::Stats SharedPlanCache::stats() const {
-  MutexLock lock(mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.entries = entries_.size();
-  s.resident_bytes = resident_bytes_;
-  return s;
-}
-
 SessionStore::SessionStore(SessionConfig base, StoreLimits limits)
-    : base_(std::move(base)), limits_(limits) {
+    : base_(std::move(base)),
+      limits_(limits),
+      plan_cache_(std::make_shared<PlanCache>(base_.plan_cache_capacity)) {
   validate_session_config(base_);
   ATLAS_CHECK_ARG(limits_.max_sessions > 0, "max_sessions must be positive");
   ATLAS_CHECK_ARG(limits_.purge_interval.count() > 0,
@@ -256,12 +175,9 @@ std::shared_ptr<ServeSession> SessionStore::open(
     MutexLock lock(mu_);
     id = next_id_++;
   }
-  // Route the session's plan-cache events into the store aggregate so
-  // cache_stats never has to walk sessions.
-  config.plan_cache_listener = telemetry_;
   auto session = std::make_shared<ServeSession>(
-      id, tenant, std::move(config), ttl, limits_.max_results_per_session,
-      limits_.max_circuits_per_session, telemetry_);
+      id, tenant, std::move(config), plan_cache_, ttl,
+      limits_.max_results_per_session, limits_.max_circuits_per_session);
 
   MutexLock lock(mu_);
   if (sessions_.size() >= limits_.max_sessions) {
@@ -348,14 +264,6 @@ std::vector<std::shared_ptr<ServeSession>> SessionStore::snapshot() const {
 std::size_t SessionStore::size() const {
   MutexLock lock(mu_);
   return sessions_.size();
-}
-
-PlanCacheStats SessionStore::aggregate_plan_cache_stats() const {
-  // Maintained counters, not a walk: every live session's cache
-  // reports events into telemetry_ and a departing session subtracts
-  // its final stats, so this read is O(1) and lock-free yet equals
-  // the old sum-over-live-sessions walk at quiescence.
-  return telemetry_->totals();
 }
 
 void SessionStore::purge_loop() {

@@ -5,20 +5,20 @@
 /// live atlas::Session objects with TTL expiry and a periodic purge
 /// thread (the kamailio sca-module shape: hash_table_size bound,
 /// purge_expired_interval sweep, introspection over every entry), plus
-/// the process-wide cross-tenant plan cache.
+/// the cross-tenant plan cache.
 ///
 /// Plans are state-independent and keyed on post-optimization
-/// structural fingerprints salted with the cluster shape
-/// (Session::plan_key), so a CompiledCircuit built by one tenant's
-/// session is valid for any other session with the same shape — the
-/// SharedPlanCache exploits exactly that: identical circuits from
-/// different tenants hit one entry, and the daemon surfaces the hit
-/// rate through the cache_stats op.
+/// structural fingerprints salted with the cluster shape and engine
+/// configuration, so a plan one tenant's session built is valid for
+/// every other session that would look it up. The store owns one
+/// PlanCache and hands it to every session it opens: identical circuit
+/// structures from different tenants hit one entry, while each
+/// tenant's compile() still builds its own slot table and symbols. The
+/// daemon surfaces the cache through the cache_stats op.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,73 +61,17 @@ struct StoredCircuit {
   std::vector<std::string> symbols;
 };
 
-/// Aggregate plan-cache telemetry across a store's live sessions,
-/// maintained from PlanCacheListener events (relaxed atomics) instead
-/// of walking every session under the store lock per cache_stats
-/// request. Exactness contract: every live session routes its cache
-/// events here, and a departing session's entire final PlanCacheStats
-/// is subtracted in ~ServeSession — so at quiescence totals() equals
-/// the sum a direct walk of the live sessions would produce
-/// (regression-tested in tests/test_serve.cpp).
-class PlanCacheTelemetry : public PlanCacheListener {
- public:
-  void on_hit() override { hits_.fetch_add(1, std::memory_order_relaxed); }
-  void on_miss() override {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_insert(std::size_t plan_bytes) override {
-    size_.fetch_add(1, std::memory_order_relaxed);
-    resident_bytes_.fetch_add(static_cast<std::int64_t>(plan_bytes),
-                              std::memory_order_relaxed);
-  }
-  void on_evict(std::size_t plan_bytes) override {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    resident_bytes_.fetch_sub(static_cast<std::int64_t>(plan_bytes),
-                              std::memory_order_relaxed);
-  }
-  void on_clear(std::size_t entries, std::size_t resident_bytes) override {
-    size_.fetch_sub(static_cast<std::int64_t>(entries),
-                    std::memory_order_relaxed);
-    resident_bytes_.fetch_sub(static_cast<std::int64_t>(resident_bytes),
-                              std::memory_order_relaxed);
-  }
-
-  /// A session joined the store: its (still empty) cache contributes
-  /// capacity.
-  void session_opened(std::size_t capacity) {
-    capacity_.fetch_add(static_cast<std::int64_t>(capacity),
-                        std::memory_order_relaxed);
-  }
-  /// A session left: remove its final contribution entirely, matching
-  /// the old walk's live-sessions-only semantics.
-  void session_closed(const PlanCacheStats& final_stats);
-
-  PlanCacheStats totals() const;
-
- private:
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::int64_t> size_{0};
-  std::atomic<std::int64_t> capacity_{0};
-  std::atomic<std::int64_t> resident_bytes_{0};
-};
-
 /// One tenant's server-side state: the engine Session plus the handle
 /// tables the wire protocol indexes into. Bookkeeping is mutex-guarded;
 /// the Session itself is thread-safe by contract.
 class ServeSession {
  public:
-  /// `telemetry` (optional) receives session_opened now and
-  /// session_closed at destruction; the caller is responsible for
-  /// wiring the same sink into config.plan_cache_listener so per-event
-  /// accounting matches (SessionStore::open does both).
+  /// The session compiles through `plan_cache`, which the store
+  /// shares across its sessions.
   ServeSession(std::uint64_t id, std::string tenant, SessionConfig config,
+               std::shared_ptr<PlanCache> plan_cache,
                std::chrono::milliseconds ttl, std::size_t max_results,
-               std::size_t max_circuits,
-               std::shared_ptr<PlanCacheTelemetry> telemetry = nullptr);
-  ~ServeSession();
+               std::size_t max_circuits);
 
   std::uint64_t id() const { return id_; }
   const std::string& tenant() const { return tenant_; }
@@ -173,7 +117,6 @@ class ServeSession {
   const std::chrono::milliseconds ttl_;
   const std::size_t max_results_;
   const std::size_t max_circuits_;
-  const std::shared_ptr<PlanCacheTelemetry> telemetry_;
   Session session_;
 
   mutable Mutex mu_;
@@ -189,49 +132,12 @@ class ServeSession {
   std::atomic<int> active_{0};
 };
 
-/// Process-wide cross-tenant plan cache: plan_key ->
-/// CompiledCircuit, LRU-bounded, with hit/miss/eviction counters and
-/// approximate resident bytes for cache_stats.
-class SharedPlanCache {
- public:
-  explicit SharedPlanCache(std::size_t capacity) : capacity_(capacity) {}
-
-  std::shared_ptr<const CompiledCircuit> find(std::uint64_t key);
-  void insert(std::uint64_t key,
-              std::shared_ptr<const CompiledCircuit> compiled);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t resident_bytes = 0;
-  };
-  Stats stats() const;
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    std::size_t bytes;
-    std::shared_ptr<const CompiledCircuit> compiled;
-  };
-
-  const std::size_t capacity_;
-  mutable Mutex mu_;
-  std::list<Entry> entries_ ATLAS_GUARDED_BY(mu_);  // MRU at front
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_
-      ATLAS_GUARDED_BY(mu_);
-  std::uint64_t hits_ ATLAS_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ ATLAS_GUARDED_BY(mu_) = 0;
-  std::uint64_t evictions_ ATLAS_GUARDED_BY(mu_) = 0;
-  std::size_t resident_bytes_ ATLAS_GUARDED_BY(mu_) = 0;
-};
-
 /// The bounded session table + its purge thread.
 class SessionStore {
  public:
   /// `base` is the config every tenant session starts from (per-tenant
-  /// open_session fields override it).
+  /// open_session fields override it); its plan_cache_capacity sizes
+  /// the plan cache the store shares across its sessions.
   SessionStore(SessionConfig base, StoreLimits limits);
   ~SessionStore();
 
@@ -266,25 +172,16 @@ class SessionStore {
     return purged_total_.load(std::memory_order_relaxed);
   }
 
-  /// Sum of every live session's PlanCacheStats (cache_stats op).
-  /// Served from PlanCacheTelemetry's maintained counters — O(1), no
-  /// store lock, no session walk — with values identical to the walk
-  /// at quiescence.
-  PlanCacheStats aggregate_plan_cache_stats() const;
-
-  /// The telemetry sink every session opened by this store reports to
-  /// (test access).
-  const std::shared_ptr<PlanCacheTelemetry>& plan_cache_telemetry() const {
-    return telemetry_;
-  }
+  /// Stats of the plan cache every session of this store shares
+  /// (cache_stats op). The cache outlives the sessions.
+  PlanCacheStats plan_cache_stats() const { return plan_cache_->stats(); }
 
  private:
   void purge_loop();
 
   const SessionConfig base_;
   const StoreLimits limits_;
-  const std::shared_ptr<PlanCacheTelemetry> telemetry_ =
-      std::make_shared<PlanCacheTelemetry>();
+  const std::shared_ptr<PlanCache> plan_cache_;
 
   mutable Mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<ServeSession>> sessions_

@@ -27,7 +27,7 @@ namespace atlas::staging {
 /// parameter is an engine slot symbol ("$k"), never a concrete value.
 /// Stagers must therefore decide insularity/diagonality per gate kind
 /// (paper Definition 2), never numerically — the same staging serves
-/// every binding of the slots. Circuits from the value-keyed plan()
+/// every binding of the slots. Circuits from the uncached plan()
 /// path and per-trajectory noise lowerings skip both front phases, so
 /// concrete parameters (and non-unitary trajectory operators) remain
 /// legal inputs; only the *canonical* form is guaranteed slot-pure.

@@ -848,60 +848,97 @@ TEST(Serve, MetricsRoundTripExportsDeviceCounters) {
   server.stop();
 }
 
-TEST(Serve, AggregatePlanCacheStatsMatchesDirectSessionWalk) {
+TEST(Serve, StoreSessionsShareOnePlanCache) {
   SessionStore store(test_session_config(), StoreLimits{});
-  auto alice = store.open("alice", store.base_config(),
-                          std::chrono::milliseconds(60000));
-  auto bob = store.open("bob", store.base_config(),
-                        std::chrono::milliseconds(60000));
+  const auto ttl = std::chrono::milliseconds(60000);
+  auto alice = store.open("alice", store.base_config(), ttl);
+  auto bob = store.open("bob", store.base_config(), ttl);
 
-  // Cache traffic: alice compiles cold then warm (miss + hit), bob
-  // compiles cold (miss) — all routed to the telemetry listener.
-  const Circuit circuit =
-      qasm::parse_with_noise(ansatz_qasm()).circuit;
-  (void)alice->session().compile(circuit);
-  (void)alice->session().compile(circuit);
-  (void)bob->session().compile(circuit);
+  const Circuit circuit = qasm::parse(ansatz_qasm());
+  EXPECT_FALSE(alice->session().compile(circuit).diagnostics().plan_cached);
+  EXPECT_TRUE(alice->session().compile(circuit).diagnostics().plan_cached);
+  EXPECT_TRUE(bob->session().compile(circuit).diagnostics().plan_cached);
 
-  const auto walk = [&store] {
-    PlanCacheStats sum;
-    for (const auto& s : store.snapshot()) {
-      const PlanCacheStats st = s->session().plan_cache_stats();
-      sum.hits += st.hits;
-      sum.misses += st.misses;
-      sum.evictions += st.evictions;
-      sum.size += st.size;
-      sum.capacity += st.capacity;
-      sum.resident_bytes += st.resident_bytes;
-    }
-    return sum;
-  };
+  PlanCacheStats stats = store.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.capacity, store.base_config().plan_cache_capacity);
+  EXPECT_GT(stats.resident_bytes, 0u);
+  // Every session reports the one cache it compiles through.
+  EXPECT_EQ(bob->session().plan_cache_stats().hits, stats.hits);
 
-  PlanCacheStats counted = store.aggregate_plan_cache_stats();
-  PlanCacheStats walked = walk();
-  EXPECT_EQ(counted.hits, walked.hits);
-  EXPECT_EQ(counted.misses, walked.misses);
-  EXPECT_EQ(counted.evictions, walked.evictions);
-  EXPECT_EQ(counted.size, walked.size);
-  EXPECT_EQ(counted.capacity, walked.capacity);
-  EXPECT_EQ(counted.resident_bytes, walked.resident_bytes);
-  EXPECT_EQ(counted.hits, 1u);
-  EXPECT_EQ(counted.misses, 2u);
-
-  // A departing session's final contribution is subtracted entirely —
-  // the old walk's live-sessions-only semantics.
-  const std::uint64_t bob_id = bob->id();
+  // The cache outlives the sessions that filled it.
+  store.erase(alice->id());
+  store.erase(bob->id());
+  alice.reset();
   bob.reset();
-  store.erase(bob_id);
-  counted = store.aggregate_plan_cache_stats();
-  walked = walk();
-  EXPECT_EQ(counted.hits, walked.hits);
-  EXPECT_EQ(counted.misses, walked.misses);
-  EXPECT_EQ(counted.evictions, walked.evictions);
-  EXPECT_EQ(counted.size, walked.size);
-  EXPECT_EQ(counted.capacity, walked.capacity);
-  EXPECT_EQ(counted.resident_bytes, walked.resident_bytes);
-  EXPECT_EQ(counted.misses, 1u);  // bob's miss left with bob
+  stats = store.plan_cache_stats();
+  EXPECT_EQ(stats.size, 1u);
+  auto carol = store.open("carol", store.base_config(), ttl);
+  EXPECT_TRUE(carol->session().compile(circuit).diagnostics().plan_cached);
+}
+
+// The shared cache holds plans only. Two tenants whose circuits differ
+// in a constant angle and in a symbol name share one plan, yet each
+// run must use that tenant's own constants and symbols: bit-identical
+// to an in-process Session running the tenant's own circuit.
+TEST(Serve, SharedPlanKeepsEachTenantsConstantsAndSymbols) {
+  const auto tenant_qasm = [](const std::string& angle,
+                              const std::string& symbol) {
+    return "OPENQASM 3;\n"
+           "include \"qelib1.inc\";\n"
+           "input float " + symbol + ";\n"
+           "qreg q[8];\n"
+           "h q[0];\n"
+           "cx q[0],q[1];\n"
+           "rx(" + angle + ") q[3];\n"
+           "rz(" + symbol + ") q[4];\n"
+           "rx(" + symbol + ") q[5];\n"
+           "cx q[3],q[4];\n"
+           "cx q[4],q[5];\n";
+  };
+  const std::string qasm_a = tenant_qasm("0.3", "theta");
+  const std::string qasm_b = tenant_qasm("1.9", "phi");
+
+  Server server(test_server_config());
+  server.start();
+  Client alice("127.0.0.1", server.port());
+  Client bob("127.0.0.1", server.port());
+  OpenSessionRequest open;
+  open.tenant = "alice";
+  const std::uint64_t sa = alice.open_session(open);
+  open.tenant = "bob";
+  const std::uint64_t sb = bob.open_session(open);
+
+  const CompileReply cc_a =
+      alice.compile(sa, alice.submit_qasm(sa, qasm_a).circuit_id);
+  EXPECT_FALSE(cc_a.shared_cache_hit);
+  const CompileReply cc_b =
+      bob.compile(sb, bob.submit_qasm(sb, qasm_b).circuit_id);
+  EXPECT_TRUE(cc_b.shared_cache_hit);  // one plan for both structures
+  EXPECT_EQ(cc_a.symbols, std::vector<std::string>{"theta"});
+  EXPECT_EQ(cc_b.symbols, std::vector<std::string>{"phi"});
+
+  const std::vector<double> values = {0.8};
+  const Session local(test_session_config());
+  const auto expect_same = [&](Client& client, std::uint64_t sid,
+                               const CompileReply& cc,
+                               const std::string& source) {
+    const RunReply remote = client.run(sid, cc.compiled_id, values);
+    const SimulationResult reference =
+        local.run(local.compile(qasm::parse(source)), values);
+    EXPECT_EQ(remote.seed, reference.seed);
+    EXPECT_EQ(remote.norm_sq, reference.norm_sq());
+    ASSERT_EQ(remote.expectation_z.size(), 8u);
+    for (int q = 0; q < 8; ++q)
+      EXPECT_EQ(remote.expectation_z[static_cast<std::size_t>(q)],
+                reference.expectation_z(q))
+          << "qubit " << q;
+  };
+  expect_same(alice, sa, cc_a, qasm_a);
+  expect_same(bob, sb, cc_b, qasm_b);
+  server.stop();
 }
 
 }  // namespace

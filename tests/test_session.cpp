@@ -178,12 +178,14 @@ TEST(SessionConfigValidation, RejectsBadOptionRanges) {
 
 // --- plan cache ---------------------------------------------------------
 
-TEST(PlanCache, SecondPlanOfIdenticalCircuitHits) {
+TEST(PlanCache, SecondCompileOfIdenticalCircuitHits) {
   const Session session(small_config());
   const Circuit c = circuits::qft(7);
-  const auto p1 = session.plan(c);
-  const auto p2 = session.plan(c);
-  EXPECT_EQ(p1.get(), p2.get());  // literally the same plan object
+  const CompiledCircuit c1 = session.compile(c);
+  const CompiledCircuit c2 = session.compile(c);
+  EXPECT_EQ(c1.plan().get(), c2.plan().get());  // literally the same plan
+  EXPECT_FALSE(c1.diagnostics().plan_cached);
+  EXPECT_TRUE(c2.diagnostics().plan_cached);
 
   const PlanCacheStats stats = session.plan_cache_stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -191,19 +193,30 @@ TEST(PlanCache, SecondPlanOfIdenticalCircuitHits) {
   EXPECT_EQ(stats.size, 1u);
 
   // A structurally identical rebuild (different name) also hits.
-  Circuit c2 = circuits::qft(7);
-  c2.set_name("renamed");
-  session.plan(c2);
+  Circuit c3 = circuits::qft(7);
+  c3.set_name("renamed");
+  (void)session.compile(c3);
   EXPECT_EQ(session.plan_cache_stats().hits, 2u);
+}
+
+TEST(PlanCache, PlanIsUncached) {
+  const Session session(small_config());
+  const Circuit c = circuits::qft(7);
+  const auto p1 = session.plan(c);
+  const auto p2 = session.plan(c);
+  EXPECT_NE(p1.get(), p2.get());
+  const PlanCacheStats stats = session.plan_cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  EXPECT_EQ(stats.size, 0u);
 }
 
 TEST(PlanCache, DistinctCircuitsMissAndLruEvicts) {
   SessionConfig cfg = small_config();
   cfg.plan_cache_capacity = 1;
   const Session session(cfg);
-  session.plan(circuits::qft(7));
-  session.plan(circuits::ghz(7));      // evicts the qft plan
-  session.plan(circuits::qft(7));      // cold again
+  (void)session.compile(circuits::qft(7));
+  (void)session.compile(circuits::ghz(7));  // evicts the qft plan
+  (void)session.compile(circuits::qft(7));  // cold again
   const PlanCacheStats stats = session.plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 3u);
@@ -216,20 +229,59 @@ TEST(PlanCache, ZeroCapacityDisablesCaching) {
   cfg.plan_cache_capacity = 0;
   const Session session(cfg);
   const Circuit c = circuits::ising(7);
-  const auto p1 = session.plan(c);
-  const auto p2 = session.plan(c);
-  EXPECT_NE(p1.get(), p2.get());
+  const CompiledCircuit c1 = session.compile(c);
+  const CompiledCircuit c2 = session.compile(c);
+  EXPECT_NE(c1.plan().get(), c2.plan().get());
   EXPECT_EQ(session.plan_cache_stats().hits, 0u);
+  EXPECT_EQ(session.plan_cache_stats().misses, 2u);
 }
 
 TEST(PlanCache, ClearResetsEntries) {
   Session session(small_config());  // clear_plan_cache() is non-const
   const Circuit c = circuits::qft(7);
-  session.plan(c);
+  (void)session.compile(c);
   session.clear_plan_cache();
   EXPECT_EQ(session.plan_cache_stats().size, 0u);
-  session.plan(c);
+  (void)session.compile(c);
   EXPECT_EQ(session.plan_cache_stats().misses, 2u);
+}
+
+// Sessions sharing one cache share plans only when they would build
+// the same plan: the key is salted with the stager, the kernelizer,
+// the cost model and the staging/kernelize options, not just the
+// circuit structure and the cluster shape.
+TEST(PlanCache, SharedCacheNeverCrossesEngineConfigurations) {
+  const auto cache = std::make_shared<PlanCache>(16);
+  const Circuit c = circuits::qft(7);
+  const Session base(small_config(), cache);
+  const CompiledCircuit first = base.compile(c);
+  EXPECT_FALSE(first.diagnostics().plan_cached);
+
+  // Same configuration: the second session reuses the first one's plan.
+  const Session twin(small_config(), cache);
+  const CompiledCircuit shared = twin.compile(c);
+  EXPECT_TRUE(shared.diagnostics().plan_cached);
+  EXPECT_EQ(shared.plan().get(), first.plan().get());
+  EXPECT_EQ(twin.plan_cache_stats().hits, 1u);  // one cache, one count
+
+  std::vector<SessionConfig> variants(6, small_config());
+  variants[0].stager = "snuqs";
+  variants[1].kernelizer = "greedy";
+  variants[2].cost_model.shm_alpha += 1.0;
+  variants[3].staging.bnb.beam_width += 1;
+  variants[4].kernelize.prune_threshold += 1;
+  variants[5].cluster.local_qubits = 4;
+  variants[5].cluster.regional_qubits = 2;
+  variants[5].cluster.gpus_per_node = 4;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const Session other(variants[i], cache);
+    const CompiledCircuit cc = other.compile(c);
+    EXPECT_FALSE(cc.diagnostics().plan_cached) << "variant " << i;
+    EXPECT_NE(cc.plan().get(), first.plan().get()) << "variant " << i;
+    // And it still computes the right state on its own plan.
+    EXPECT_NEAR(other.run(cc).norm_sq(), 1.0, 1e-9) << "variant " << i;
+  }
+  EXPECT_EQ(cache->stats().misses, 1u + variants.size());
 }
 
 TEST(Fingerprint, StructuralNotNominal) {

@@ -12,6 +12,8 @@
 
 #include "circuits/families.h"
 #include "core/session.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "sim/reference.h"
 
 namespace atlas {
@@ -157,7 +159,7 @@ TEST(StageProgram, DensePointRunsDoZeroParamBindingLookups) {
 // compilation (pattern bits, fired-gate sets, shm gather maps, fused
 // spans) is cached on the plan, so an N-point sweep compiles each
 // stage's skeleton exactly once and only re-fills matrix values per
-// point.
+// point. Skeleton builds are read off the skeleton cache's miss counter.
 TEST(StageProgram, SweepCompilesEachStageSkeletonOnce) {
   const int n = 7, layers = 2, points = 32;
   const Circuit ansatz = make_ansatz(n, layers);
@@ -167,15 +169,16 @@ TEST(StageProgram, SweepCompilesEachStageSkeletonOnce) {
   for (int i = 0; i < points; ++i)
     dense.push_back({0.1 * i, 0.2 * i, 0.3 * i, 0.4 * i});
 
-  const std::uint64_t before = exec::stage_skeleton_compiles();
+  const obs::Counter& builds = obs::counter(obs::names::kSkeletonCacheMisses);
+  const std::uint64_t before = builds.value();
   (void)session.sweep(compiled, dense);
-  const std::uint64_t first_sweep = exec::stage_skeleton_compiles() - before;
+  const std::uint64_t first_sweep = builds.value() - before;
   EXPECT_EQ(first_sweep, compiled.plan()->stages.size())
       << "expected one skeleton build per stage for the whole sweep";
 
   // A second sweep over the same compiled handle re-binds values only.
   (void)session.sweep(compiled, dense);
-  EXPECT_EQ(exec::stage_skeleton_compiles() - before, first_sweep);
+  EXPECT_EQ(builds.value() - before, first_sweep);
 }
 
 // Lazily-built SimulationResult::params(): the dense slot record is

@@ -40,7 +40,9 @@ bool satisfies(const std::vector<lp::LpRow>& rows, const std::vector<int>& x) {
 
 int IlpModel::add_binary(double obj_coeff, std::string name) {
   objective_.push_back(obj_coeff);
-  if (name.empty()) name = "x" + std::to_string(names_.size());
+  // A char prefix: the const char* form trips a GCC 12 -Wrestrict
+  // false positive in the inlined string replace.
+  if (name.empty()) name = 'x' + std::to_string(names_.size());
   names_.push_back(std::move(name));
   return static_cast<int>(names_.size()) - 1;
 }

@@ -1,6 +1,8 @@
 #include "sim/apply.h"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 
 #include "common/bits.h"
 #include "common/error.h"
@@ -20,9 +22,9 @@ constexpr Index kLanes = 32;
 /// forces the dense path).
 bool exactly_zero(const Amp& a) { return a.real() == 0.0 && a.imag() == 0.0; }
 
-/// Group walk shared by the non-blocked paths: enumerates the base
-/// index of every amplitude group, with the bits below the lowest
-/// op bit walked by a contiguous inner loop.
+/// Group walk of the controlled diagonal 1q kernel with two or more
+/// controls: enumerates the base index of every amplitude group, with
+/// the bits below the lowest op bit walked by a contiguous inner loop.
 template <class Body>
 void for_each_base(Index size, int span, const std::vector<int>& sorted,
                    Index ctrl_mask, Body&& body) {
@@ -36,51 +38,105 @@ void for_each_base(Index size, int span, const std::vector<int>& sorted,
   }
 }
 
-/// Uncontrolled dense 1q: the dominant kernel. Processes 2^q-long
-/// contiguous runs of paired amplitudes; the inner loop is stride-1
-/// over raw doubles and vectorizes.
-void apply_dense_1q_direct(Amp* data, Index size, int q, const double* mre,
-                           const double* mim) {
-  const double u00r = mre[0], u00i = mim[0];
-  const double u01r = mre[1], u01i = mim[1];
-  const double u10r = mre[2], u10i = mim[2];
-  const double u11r = mre[3], u11i = mim[3];
-  double* d = reinterpret_cast<double*>(data);
-  const Index run = Index{2} << q;  // doubles per contiguous half-block
-  for (Index base = 0; base < 2 * size; base += 2 * run) {
-    double* p0 = d + base;
-    double* p1 = p0 + run;
-    for (Index j = 0; j < run; j += 2) {
-      const double a0r = p0[j], a0i = p0[j + 1];
-      const double a1r = p1[j], a1i = p1[j + 1];
-      p0[j] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
-      p0[j + 1] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
-      p1[j] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
-      p1[j + 1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
-    }
-  }
+/// One amplitude as a two-lane (re, im) vector. Loads and stores go
+/// through memcpy: Amp is only 8-byte aligned.
+typedef double Lanes __attribute__((vector_size(16)));
+
+Lanes load(const Amp* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-/// Uncontrolled diagonal 1q: two contiguous scalar-multiply runs per
-/// block, no pairing loads at all.
-void apply_diag_1q_direct(Amp* data, Index size, int q, const double* dre,
-                          const double* dim) {
-  const double d0r = dre[0], d0i = dim[0];
-  const double d1r = dre[1], d1i = dim[1];
-  double* d = reinterpret_cast<double*>(data);
-  const Index run = Index{2} << q;
-  for (Index base = 0; base < 2 * size; base += 2 * run) {
-    double* p0 = d + base;
-    double* p1 = p0 + run;
-    for (Index j = 0; j < run; j += 2) {
-      const double a0r = p0[j], a0i = p0[j + 1];
-      p0[j] = a0r * d0r - a0i * d0i;
-      p0[j + 1] = a0r * d0i + a0i * d0r;
-      const double a1r = p1[j], a1i = p1[j + 1];
-      p1[j] = a1r * d1r - a1i * d1i;
-      p1[j + 1] = a1r * d1i + a1i * d1r;
-    }
+void store(Amp* p, Lanes v) {
+  std::memcpy(static_cast<void*>(p), &v, sizeof v);
+}
+
+/// A complex factor u in lane form: u*x == re*x + im*swap(x) with
+/// re = {u_re, u_re} and im = {-u_im, u_im}, i.e. lane-wise
+/// {u_re*x_re + (-u_im)*x_im, u_re*x_im + u_im*x_re} — bit-identical to
+/// the scalar {u_re*x_re - u_im*x_im, u_re*x_im + u_im*x_re}, because
+/// (-u)*x == -(u*x) and a + (-b) == a - b in IEEE arithmetic.
+struct Factor {
+  Lanes re, im;
+  Factor(double r, double i) : re{r, r}, im{-i, i} {}
+  explicit Factor(Amp u) : Factor(u.real(), u.imag()) {}
+  Lanes operator*(Lanes x) const {
+    return re * x + im * __builtin_shufflevector(x, x, 1, 0);
   }
+};
+
+/// Pair walk of a one-target gate with at most one control (span <= 2):
+/// a three-level loop nest over the op bits hi >= lo that hands
+/// `run(p0, p1, n)` n contiguous amplitude pairs, p0 with the target bit
+/// clear and p1 = p0 + 2^target, the control bit already set. No bit
+/// insertion, no gather tile. An uncontrolled gate is the
+/// hi == lo == target case, where the middle loop runs once.
+template <class Run>
+void for_each_pair_run(Amp* data, Index size, const PreparedGate& g,
+                       Run&& run) {
+  const Index lo = bit(g.sorted_bits.front());
+  const Index hi = bit(g.sorted_bits.back());
+  const Index stride = bit(g.targets[0]);
+  if (lo == 1) {
+    // Single-pair runs: a compile-time run length drops the inner loop.
+    for (Index a = g.ctrl_mask; a < size; a += 2 * hi)
+      for (Index b = a; b < a + hi; b += 2)
+        run(data + b, data + b + stride, std::integral_constant<Index, 1>{});
+    return;
+  }
+  for (Index a = g.ctrl_mask; a < size; a += 2 * hi)
+    for (Index b = a; b < a + hi; b += 2 * lo)
+      run(data + b, data + b + stride, lo);
+}
+
+/// Dense 1q with at most one control: the dominant kernel. The
+/// controlled form keeps the blocked tile's accumulation from zero
+/// (0 + u0*a0 + u1*a1), so a -0.0 product still sums to the same bits.
+template <bool kFromZero>
+void apply_dense_1q(Amp* data, Index size, const PreparedGate& g) {
+  const Factor u00(g.m_re[0], g.m_im[0]), u01(g.m_re[1], g.m_im[1]);
+  const Factor u10(g.m_re[2], g.m_im[2]), u11(g.m_re[3], g.m_im[3]);
+  const Lanes zero{0.0, 0.0};
+  for_each_pair_run(data, size, g, [&](Amp* p0, Amp* p1, auto n) {
+    for (Index j = 0; j < n; ++j) {
+      const Lanes a0 = load(p0 + j), a1 = load(p1 + j);
+      Lanes r0 = u00 * a0, r1 = u10 * a0;
+      if constexpr (kFromZero) {
+        r0 = zero + r0;
+        r1 = zero + r1;
+      }
+      store(p0 + j, r0 + u01 * a1);
+      store(p1 + j, r1 + u11 * a1);
+    }
+  });
+}
+
+/// Diagonal 1q with at most one control: two in-place scalar multiplies
+/// per pair, no pairing arithmetic.
+void apply_diag_1q(Amp* data, Index size, const PreparedGate& g) {
+  const Factor d0(g.m_re[0], g.m_im[0]), d1(g.m_re[1], g.m_im[1]);
+  for_each_pair_run(data, size, g, [&](Amp* p0, Amp* p1, auto n) {
+    for (Index j = 0; j < n; ++j) {
+      store(p0 + j, d0 * load(p0 + j));
+      store(p1 + j, d1 * load(p1 + j));
+    }
+  });
+}
+
+/// Phased swap of one target with at most one control (X, Y, CX, CY):
+/// a non-diagonal 1-target permutation always maps row 0 from column 1
+/// and row 1 from column 0.
+void apply_perm_1q(Amp* data, Index size, const PreparedGate& g) {
+  ATLAS_DCHECK(g.perm[0] == 1 && g.perm[1] == 0, "1q permutation");
+  const Factor ph0(g.phase[0]), ph1(g.phase[1]);
+  for_each_pair_run(data, size, g, [&](Amp* p0, Amp* p1, auto n) {
+    for (Index j = 0; j < n; ++j) {
+      const Lanes a0 = load(p0 + j), a1 = load(p1 + j);
+      store(p0 + j, ph0 * a1);
+      store(p1 + j, ph1 * a0);
+    }
+  });
 }
 
 /// Scratch for the blocked kernels, allocated once per apply call and
@@ -311,29 +367,25 @@ PreparedGate prepare_gate(const MatrixOp& op) {
 void apply_prepared(Amp* data, Index size, const PreparedGate& g) {
   switch (g.path) {
     case ApplyPath::Dense1q:
-      if (g.ctrl_mask == 0) {
-        apply_dense_1q_direct(data, size, g.targets[0], g.m_re.data(),
-                              g.m_im.data());
-      } else {
+      if (g.span > 2) {
         apply_dense_blocked<2>(data, size, g, 2);
+      } else if (g.ctrl_mask == 0) {
+        apply_dense_1q<false>(data, size, g);
+      } else {
+        apply_dense_1q<true>(data, size, g);
       }
       return;
     case ApplyPath::Diag1q: {
-      if (g.ctrl_mask == 0) {
-        apply_diag_1q_direct(data, size, g.targets[0], g.m_re.data(),
-                             g.m_im.data());
+      if (g.span <= 2) {
+        apply_diag_1q(data, size, g);
         return;
       }
-      // Controlled diagonal 1q: walk the control-selected groups.
-      const Amp d0(g.m_re[0], g.m_im[0]), d1(g.m_re[1], g.m_im[1]);
+      // Diagonal 1q under two or more controls: walk the selected groups.
+      const Factor d0(g.m_re[0], g.m_im[0]), d1(g.m_re[1], g.m_im[1]);
       const Index s0 = bit(g.targets[0]);
       for_each_base(size, g.span, g.sorted_bits, g.ctrl_mask, [&](Index b) {
-        Amp& a0 = data[b];
-        a0 = Amp(a0.real() * d0.real() - a0.imag() * d0.imag(),
-                 a0.real() * d0.imag() + a0.imag() * d0.real());
-        Amp& a1 = data[b + s0];
-        a1 = Amp(a1.real() * d1.real() - a1.imag() * d1.imag(),
-                 a1.real() * d1.imag() + a1.imag() * d1.real());
+        store(data + b, d0 * load(data + b));
+        store(data + b + s0, d1 * load(data + b + s0));
       });
       return;
     }
@@ -344,7 +396,11 @@ void apply_prepared(Amp* data, Index size, const PreparedGate& g) {
       apply_diag_k(data, size, g);
       return;
     case ApplyPath::PermK:
-      apply_perm_k(data, size, g);
+      if (g.targets.size() == 1 && g.span <= 2) {
+        apply_perm_1q(data, size, g);
+      } else {
+        apply_perm_k(data, size, g);
+      }
       return;
     case ApplyPath::DenseK:
       apply_dense_blocked<0>(data, size, g,
@@ -387,13 +443,8 @@ void apply_gate(StateVector& sv, const Gate& gate) {
 }
 
 void scale_buffer(Amp* data, Index size, Amp factor) {
-  const double fr = factor.real(), fi = factor.imag();
-  double* d = reinterpret_cast<double*>(data);
-  for (Index i = 0; i < 2 * size; i += 2) {
-    const double ar = d[i], ai = d[i + 1];
-    d[i] = ar * fr - ai * fi;
-    d[i + 1] = ar * fi + ai * fr;
-  }
+  const Factor f(factor);
+  for (Index i = 0; i < size; ++i) store(data + i, f * load(data + i));
 }
 
 }  // namespace atlas

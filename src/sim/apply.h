@@ -14,12 +14,29 @@
 /// resolving strides/offset tables and classifying the matrix into a
 /// fast-path class (1q/2q dense, diagonal, permutation, general) — and
 /// apply_prepared() replays it with stride-based nested loops whose
-/// inner loop walks contiguous amplitudes, with the complex arithmetic
-/// spelled out over raw doubles so the compiler can vectorize it.
-/// Classification uses *exact* zero tests, so every fast path computes
-/// bit-identical amplitudes (modulo the sign of zero) to the general
-/// dense loop. The one-shot wrappers (apply_matrix & co.) prepare and
-/// apply in a single call.
+/// inner loop walks contiguous amplitudes. Classification uses *exact*
+/// zero tests, so every fast path computes bit-identical amplitudes
+/// (modulo the sign of zero) to the general dense loop. The one-shot
+/// wrappers (apply_matrix & co.) prepare and apply in a single call.
+///
+/// One-target gates with at most one control (span <= 2: H, RY, RZ, X,
+/// CX, CZ, CP, CR*, ...) take the *pair walk*: a three-level loop nest
+/// over the op bits hi >= lo — blocks of 2^(hi+1), sub-blocks of
+/// 2^(lo+1), and a contiguous run of 2^lo amplitude pairs with the
+/// control bit set — so no group index is bit-inserted and no gather
+/// tile is filled. Wider spans and multi-target gates keep the blocked
+/// gather tile. The walk computes each element with the formula of the
+/// path it replaces (including the tile's accumulation from 0 for the
+/// controlled dense case), so it is bit-identical by construction.
+///
+/// The 1q kernels and scale_buffer hold one (re, im) amplitude in a
+/// two-lane vector (GCC/Clang vector extensions, plain SSE2 on x86-64)
+/// and multiply by u as re*x + im*swap(x) with re = {u_re, u_re} and
+/// im = {-u_im, u_im}. That equals the scalar
+/// {u_re*x_re - u_im*x_im, u_re*x_im + u_im*x_re} bit for bit, because
+/// (-u)*x == -(u*x) and a + (-b) == a - b in IEEE arithmetic (and
+/// + and * commute exactly). Amp is only 8-byte aligned, so the lanes
+/// are loaded and stored through memcpy.
 
 #include <vector>
 
@@ -47,7 +64,8 @@ enum class ApplyPath {
   Diag1q,    ///< diagonal 2x2: two scalar multiplies per group
   Dense2q,   ///< dense 4x4 on two targets
   DiagK,     ///< diagonal 2^k: in-place scalar multiplies, no gather
-  PermK,     ///< one nonzero per row/column: gather + phased permute
+  PermK,     ///< one nonzero per row/column: phased permute (pair walk
+             ///< for one target and <= 1 control, else gather tile)
   DenseK,    ///< general 2^k x 2^k gather / mat-vec / scatter
 };
 

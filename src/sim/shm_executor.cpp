@@ -97,14 +97,21 @@ Index run_shm_program(Amp* data, Index size, const ShmProgram& prog,
   const int a = static_cast<int>(prog.active.size());
   const Index batch = Index{1} << a;
   const Index num_batches = size >> a;
+  // The always-active low bits are the lowest scratch bits too, so the
+  // gather/scatter map moves contiguous runs of 2^low amplitudes.
+  int low = 0;
+  while (low < a && prog.active[static_cast<std::size_t>(low)] == low) ++low;
+  const Index run = Index{1} << low;
   scratch.resize(batch);
   Amp* shm = scratch.data();
   const Index* offset = prog.offset.data();
   for (Index b = 0; b < num_batches; ++b) {
     const Index base = insert_zero_bits(b, prog.active);
-    for (Index v = 0; v < batch; ++v) shm[v] = data[base | offset[v]];
+    for (Index v = 0; v < batch; v += run)
+      std::copy_n(data + (base | offset[v]), run, shm + v);
     for (const PreparedGate& g : prog.gates) apply_prepared(shm, batch, g);
-    for (Index v = 0; v < batch; ++v) data[base | offset[v]] = shm[v];
+    for (Index v = 0; v < batch; v += run)
+      std::copy_n(shm + v, run, data + (base | offset[v]));
   }
   return num_batches;
 }

@@ -14,6 +14,15 @@
 /// scratch-space PreparedGates — and replayed per shard / per stage
 /// without rebuilding any of it (compile_shm_program / run_shm_program).
 /// run_shared_memory_kernel is the one-shot wrapper.
+///
+/// Inside the scratch buffer every member gate is replayed through
+/// apply_prepared(): one-target gates with at most one control — the
+/// bulk of a kernel (CX/CZ/CP/CR* ladders, RY/RZ/H layers) — run on the
+/// pair walk with two-lane complex arithmetic; diagonal k-qubit gates
+/// run in place; wider controlled gates, permutations on several
+/// targets and dense 2q/k-qubit gates run on the blocked gather tile
+/// (see apply.h). The gather/scatter moves contiguous runs of the
+/// always-active low bits.
 
 #include <vector>
 

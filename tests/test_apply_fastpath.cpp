@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/bits.h"
@@ -68,10 +70,10 @@ std::vector<int> random_bits(Rng& rng, int n, int count) {
 }
 
 /// A gate pool covering every fast-path class: dense/diagonal/
-/// anti-diagonal 1q, controlled, 2q dense and diagonal, 3q
-/// permutations.
+/// anti-diagonal 1q, controlled (dense, diagonal, phased swap), 2q
+/// dense and diagonal, 3q permutations.
 Gate random_gate(Rng& rng, const std::vector<int>& q) {
-  switch (rng.index(18)) {
+  switch (rng.index(22)) {
     case 0: return Gate::h(q[0]);
     case 1: return Gate::x(q[0]);
     case 2: return Gate::y(q[0]);
@@ -89,7 +91,11 @@ Gate random_gate(Rng& rng, const std::vector<int>& q) {
     case 13: return Gate::swap(q[0], q[1]);
     case 14: return Gate::rzz(q[0], q[1], rng.uniform(0, 6.28));
     case 15: return Gate::rxx(q[0], q[1], rng.uniform(0, 6.28));
-    case 16: return Gate::ccx(q[0], q[1], q[2]);
+    case 16: return Gate::cy(q[0], q[1]);
+    case 17: return Gate::ch(q[0], q[1]);
+    case 18: return Gate::cry(q[0], q[1], rng.uniform(0, 6.28));
+    case 19: return Gate::crz(q[0], q[1], rng.uniform(0, 6.28));
+    case 20: return Gate::ccx(q[0], q[1], q[2]);
     default: return Gate::ccz(q[0], q[1], q[2]);
   }
 }
@@ -172,6 +178,130 @@ TEST_P(FastPathTest, ShmProgramMatchesDirectApplicationExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastPathTest, ::testing::Range(1, 9));
+
+/// Every controlled single-target gate on every ordered (control,
+/// target) pair of an 8-bit buffer: the pair walk's loop levels
+/// degenerate differently per pair (a low op bit of 0 makes every inner
+/// run one amplitude pair, bits 1-2 make it 2 or 4, adjacent op bits run
+/// the middle loop once).
+TEST(FastPathExact, ControlledSingleTargetEveryPairMatchesNaiveExactly) {
+  const int n = 8;
+  const std::vector<Amp> initial = random_amps(n, 2024);
+  const auto gates_on = [](int c, int t) {
+    return std::vector<Gate>{Gate::cx(c, t),       Gate::cy(c, t),
+                             Gate::cz(c, t),       Gate::cp(c, t, 0.9),
+                             Gate::ch(c, t),       Gate::crx(c, t, 1.3),
+                             Gate::cry(c, t, 2.1), Gate::crz(c, t, 0.4)};
+  };
+  for (int c = 0; c < n; ++c)
+    for (int t = 0; t < n; ++t) {
+      if (c == t) continue;
+      for (const Gate& g : gates_on(c, t)) {
+        StateVector sv(n);
+        sv.amplitudes() = initial;
+        apply_gate(sv, g);
+        std::vector<Amp> ref = initial;
+        naive_apply(ref, {g.targets()[0]}, {g.controls()[0]},
+                    g.target_matrix());
+        ASSERT_EQ(sv.amplitudes(), ref) << g.to_string();
+      }
+    }
+}
+
+/// The controlled dense 1q kernel accumulates from zero, as the
+/// blocked tile and the naive loop do (0 + u0*a0 + u1*a1), so on
+/// signed zeros it must match the naive loop bit for bit, not only
+/// under operator==: -0.0 + -0.0 is -0.0, but 0 + -0.0 + -0.0 is +0.0.
+TEST(FastPathExact, ControlledDenseAccumulatesFromZeroBitForBit) {
+  const int n = 4;
+  const std::vector<Amp> zeros(std::size_t{1} << n, Amp(-0.0, -0.0));
+  for (const Gate& g : {Gate::ch(0, 2), Gate::ch(3, 1), Gate::cry(1, 0, 0.8)}) {
+    StateVector sv(n);
+    sv.amplitudes() = zeros;
+    apply_gate(sv, g);
+    std::vector<Amp> ref = zeros;
+    naive_apply(ref, {g.targets()[0]}, {g.controls()[0]}, g.target_matrix());
+    ASSERT_EQ(std::memcmp(sv.amplitudes().data(), ref.data(),
+                          ref.size() * sizeof(Amp)),
+              0)
+        << g.to_string();
+  }
+}
+
+/// A vqc-shaped shared-memory kernel: 10 active bits (the full shared
+/// batch) under a random layout, layers of ry/rz around a CX ladder —
+/// the gate mix that dominates the Table-I families' shm kernels.
+TEST(FastPathExact, VqcShapedShmProgramMatchesGateByGateExactly) {
+  Rng rng(77);
+  const int n = 13;
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<int> bit_of_qubit = random_bits(rng, n, n);
+    // The 10 qubits whose bits are active: 0, 1, 2 plus 7 others.
+    std::vector<int> qubits;
+    for (int q = 0; q < n; ++q)
+      if (bit_of_qubit[static_cast<std::size_t>(q)] < 3) qubits.push_back(q);
+    for (int q = 0; q < n && qubits.size() < 10; ++q)
+      if (bit_of_qubit[static_cast<std::size_t>(q)] >= 3) qubits.push_back(q);
+    std::vector<Gate> gates;
+    for (int layer = 0; layer < 2; ++layer) {
+      for (int q : qubits) gates.push_back(Gate::ry(q, rng.uniform(0, 6.28)));
+      for (int q : qubits) gates.push_back(Gate::rz(q, rng.uniform(0, 6.28)));
+      for (std::size_t i = 0; i + 1 < qubits.size(); ++i)
+        gates.push_back(Gate::cx(qubits[i], qubits[i + 1]));
+    }
+    ASSERT_EQ(active_bits(gates, bit_of_qubit).size(), 10u);
+
+    std::vector<Amp> a = random_amps(n, 500 + trial);
+    std::vector<Amp> b = a;
+    run_shared_memory_kernel(a.data(), static_cast<Index>(a.size()), gates,
+                             bit_of_qubit);
+    for (const Gate& g : gates)
+      apply_gate_mapped(b.data(), static_cast<Index>(b.size()), g,
+                        bit_of_qubit);
+    ASSERT_EQ(a, b) << "trial " << trial;
+  }
+}
+
+/// Amp is only 8-byte aligned, so the two-lane kernels must not assume
+/// 16-byte vector alignment: every rewritten kernel runs on a buffer at
+/// an address that is 8 mod 16 and must match the same kernel on an
+/// ordinarily allocated buffer bit for bit.
+TEST(FastPathExact, KernelsRunOnEightByteAlignedBuffers) {
+  const int n = 6;
+  const Index size = Index{1} << n;
+  const std::vector<Amp> initial = random_amps(n, 31337);
+  std::vector<double> raw(2 * size + 1);
+  double* first = raw.data();
+  if (reinterpret_cast<std::uintptr_t>(first) % 16 == 0) ++first;
+  Amp* odd = reinterpret_cast<Amp*>(first);
+  ASSERT_EQ(reinterpret_cast<std::uintptr_t>(odd) % 16, 8u);
+
+  const std::vector<Gate> gates = {
+      Gate::u3(0, 0.3, 0.7, 1.1),  // dense 1q
+      Gate::crx(1, 4, 0.5),        // dense 1q, one control
+      Gate::rz(5, 0.8),            // diagonal 1q
+      Gate::cp(2, 0, 1.7),         // diagonal 1q, one control
+      Gate::ccz(0, 3, 5),          // diagonal 1q, two controls
+      Gate::y(3),                  // phased swap
+      Gate::cy(5, 2),              // phased swap, one control
+  };
+  std::vector<int> identity(n);
+  for (int q = 0; q < n; ++q) identity[static_cast<std::size_t>(q)] = q;
+  for (const Gate& g : gates) {
+    std::memcpy(static_cast<void*>(odd), initial.data(), size * sizeof(Amp));
+    StateVector sv(n);
+    sv.amplitudes() = initial;
+    apply_gate(sv, g);
+    apply_gate_mapped(odd, size, g, identity);
+    ASSERT_EQ(std::vector<Amp>(odd, odd + size), sv.amplitudes())
+        << g.to_string();
+  }
+  std::memcpy(static_cast<void*>(odd), initial.data(), size * sizeof(Amp));
+  std::vector<Amp> ref = initial;
+  scale_buffer(odd, size, Amp(0.6, -0.8));
+  scale_buffer(ref.data(), size, Amp(0.6, -0.8));
+  EXPECT_EQ(std::vector<Amp>(odd, odd + size), ref);
+}
 
 TEST(FastPathClassification, PicksTheExpectedPaths) {
   const auto path_of = [](const Gate& g) {

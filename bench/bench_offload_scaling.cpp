@@ -8,6 +8,7 @@
 // exec tokens mean more concurrent launches for the command queue to
 // overlap with staging copies, so the batched advantage should hold
 // across the ladder (no wall-time gate here — bench_offload owns it).
+// Exits non-zero when any ladder row is not bit-identical ("exact NO").
 
 #include <algorithm>
 #include <cstdio>
@@ -78,7 +79,8 @@ void figure8(int local) {
   std::printf("\n(paper: Atlas scales across GPUs; QDAO's time stays flat)\n");
 }
 
-void batched_ladder(bool smoke) {
+/// Returns false when any row's batched sweep differs from per-point runs.
+bool batched_ladder(bool smoke) {
   const int local = smoke ? 6 : 8;
   const int regional = 4;  // 16 DRAM shards
   const int n = local + regional;
@@ -93,6 +95,7 @@ void batched_ladder(bool smoke) {
 
   std::printf("%5s | %12s %12s | %8s %6s\n", "GPUs", "per-point", "batched",
               "speedup", "exact");
+  bool all_identical = true;
   for (int gpus : {1, 2, 4}) {
     SessionConfig cfg;
     cfg.executor = "device";
@@ -137,7 +140,9 @@ void batched_ladder(bool smoke) {
     std::printf("%5d | %10.2fms %10.2fms | %7.2fx %6s\n", gpus,
                 per_point * 1e3, batched * 1e3, per_point / batched,
                 identical ? "yes" : "NO");
+    all_identical &= identical;
   }
+  return all_identical;
 }
 
 }  // namespace
@@ -154,6 +159,10 @@ int main(int argc, char** argv) {
       local = std::atoi(argv[i]);
   }
   bench::figure8(smoke ? 12 : local);
-  bench::batched_ladder(smoke);
+  if (!bench::batched_ladder(smoke)) {
+    std::printf("FAIL: a batched sweep is not bit-identical to per-point "
+                "runs\n");
+    return 1;
+  }
   return 0;
 }

@@ -45,10 +45,10 @@ std::uint64_t engine_salt_of(const SessionConfig& config) {
   Fnv f;
   f.mix_string(config.stager);
   f.mix_string(config.kernelizer);
-  for (long v : {static_cast<long>(st.engine), long{st.ilp.max_stages},
-                 st.ilp.node_budget, long{st.bnb.max_stages},
-                 long{st.bnb.beam_width}, long{st.bnb.max_solutions},
-                 st.bnb.node_budget, long{config.kernelize.prune_threshold},
+  for (long v : {long{st.ilp.max_stages}, st.ilp.node_budget,
+                 long{st.bnb.max_stages}, long{st.bnb.beam_width},
+                 long{st.bnb.max_solutions}, st.bnb.node_budget,
+                 long{config.kernelize.prune_threshold},
                  long{config.kernelize.also_try_ordered},
                  long{cm.max_fusion_qubits}, long{cm.max_shm_qubits}})
     f.mix(static_cast<std::uint64_t>(v));

@@ -1,119 +1,31 @@
 #pragma once
 
 /// \file buffer.h
-/// Explicit device-buffer lifecycle for the device-style offload
-/// executor (exec/device_executor.h). The "device" is host memory
-/// behind an explicit transfer API — the point is the architecture,
-/// not the silicon: shard data only reaches a kernel replay after an
-/// explicit upload() into a DeviceBuffer, and only leaves through an
-/// explicit download(), so every byte of staging traffic is a visible,
-/// metered event and the swap to a real accelerator runtime is a
-/// reimplementation of this file, not of the executor.
-///
-/// Lifecycle (mirrors the idock kernel class: ctor-upload of constant
-/// tables, update() per plan, launch() per task batch, dtor-free):
-///
-///   StagingPool pool;                          // one per plan context
-///   DeviceBuffer slot = pool.allocate(bytes);  // ref-counted handle
-///   slot.upload(host_src, bytes);              // H2D, metered
-///   ... kernel replay reads slot.data() ...
-///   slot.download(host_dst, bytes);            // D2H, metered
-///   // handle release returns the block to the pool's free list;
-///   // pool destruction frees the arena.
-///
-/// Freed blocks are recycled by exact size (allocate-once-per-plan:
-/// a sweep re-acquiring the same slot shape never re-allocates), and
-/// process-wide BufferStats expose allocation/traffic accounting so
-/// tests can assert zero leaked buffers after a session closes.
+/// Staged-traffic accounting for the device backend
+/// (exec/device_executor.h). Shard data reaches a kernel replay only
+/// through a metered H2D copy into a staging slot of the runner's arena,
+/// and leaves only through a metered D2H copy (device/command_queue.h),
+/// so every byte of staging traffic lands in the device.upload_bytes /
+/// device.download_bytes obs counters. buffer_stats() reads those two.
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 
-#include "common/types.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 
 namespace atlas::device {
 
-/// Process-wide device-buffer accounting. Monotone counters except the
-/// live_* pair, which are exact instantaneous values (every allocate
-/// is matched by a release before a pool dies). Snapshot via
-/// buffer_stats(); tests assert deltas.
+/// Process-wide staged bytes, monotone. Snapshot via buffer_stats();
+/// tests and benches assert deltas.
 struct BufferStats {
-  std::uint64_t allocated_blocks = 0;  ///< blocks ever carved from arenas
-  std::uint64_t freed_blocks = 0;      ///< blocks returned to the OS
-  std::uint64_t live_buffers = 0;      ///< DeviceBuffer handles outstanding
-  std::uint64_t live_bytes = 0;        ///< bytes held by live handles
-  std::uint64_t uploads = 0;           ///< upload() calls (H2D)
-  std::uint64_t upload_bytes = 0;
-  std::uint64_t downloads = 0;         ///< download() calls (D2H)
-  std::uint64_t download_bytes = 0;
+  std::uint64_t upload_bytes = 0;    ///< H2D: device.upload_bytes
+  std::uint64_t download_bytes = 0;  ///< D2H: device.download_bytes
 };
 
-/// Point-in-time copy of the process-wide counters.
-BufferStats buffer_stats();
-
-namespace detail {
-struct Block;
-class PoolImpl;
-}  // namespace detail
-
-/// Ref-counted handle to one device-side allocation. Copies share the
-/// block; the last handle to go away returns the block to its pool's
-/// free list (or to the OS when the pool is already gone). A
-/// default-constructed handle is null.
-class DeviceBuffer {
- public:
-  DeviceBuffer() = default;
-
-  bool valid() const { return block_ != nullptr; }
-  std::size_t bytes() const;
-
-  /// Device-side storage. Valid while any handle is alive; kernel
-  /// replays read and write through this pointer.
-  Amp* data() const;
-
-  /// H2D: copies `bytes` from host memory into the buffer. Metered in
-  /// BufferStats and the device.* obs counters. Throws atlas::Error on
-  /// overflow of the block.
-  void upload(const void* host_src, std::size_t bytes) const;
-
-  /// D2H: copies `bytes` from the buffer out to host memory. Metered.
-  void download(void* host_dst, std::size_t bytes) const;
-
- private:
-  friend class StagingPool;
-  friend class detail::PoolImpl;
-  explicit DeviceBuffer(std::shared_ptr<detail::Block> block)
-      : block_(std::move(block)) {}
-
-  std::shared_ptr<detail::Block> block_;
-};
-
-/// The pinned-style host staging arena: owns every block it hands out
-/// and recycles released blocks by exact size, so steady-state
-/// execution (a sweep replaying one plan) allocates each distinct slot
-/// shape exactly once. Thread-safe: allocate() and handle releases may
-/// race (the command-queue worker drops in-flight handles).
-class StagingPool {
- public:
-  StagingPool();
-  ~StagingPool();
-
-  StagingPool(const StagingPool&) = delete;
-  StagingPool& operator=(const StagingPool&) = delete;
-
-  /// Hands out a zero-initialized-or-recycled block of exactly `bytes`
-  /// (recycled blocks keep their stale contents — callers upload before
-  /// launching). Throws atlas::Error on bytes == 0.
-  DeviceBuffer allocate(std::size_t bytes);
-
-  /// Handles outstanding from this pool (free-listed blocks excluded).
-  std::uint64_t live_buffers() const;
-  /// Bytes resident in this pool: live handles plus the free list.
-  std::uint64_t resident_bytes() const;
-
- private:
-  std::shared_ptr<detail::PoolImpl> impl_;
-};
+/// Point-in-time read of the two device.* byte counters.
+inline BufferStats buffer_stats() {
+  return {obs::counter(obs::names::kDeviceUploadBytes).value(),
+          obs::counter(obs::names::kDeviceDownloadBytes).value()};
+}
 
 }  // namespace atlas::device

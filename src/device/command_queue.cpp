@@ -1,5 +1,6 @@
 #include "device/command_queue.h"
 
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -40,8 +41,8 @@ CommandQueue::~CommandQueue() {
   cv_work_.notify_all();
   worker_.join();
   // The worker exits only with an empty queue; launches it dispatched
-  // may still be running on the pool — wait them out so the buffers
-  // they capture die before the executor's state does.
+  // may still be running on the pool — wait them out so none still
+  // touches a slot when the owner frees its arena.
   MutexLock lock(mu_);
   cv_state_.wait(mu_, [this]() ATLAS_REQUIRES(mu_) {
     return pending_total_ == 0;
@@ -58,42 +59,22 @@ void CommandQueue::push(Command cmd) {
   cv_work_.notify_one();
 }
 
-void CommandQueue::enqueue_h2d(DeviceBuffer buf, const Amp* host_src,
+void CommandQueue::enqueue_h2d(Amp* slot, const Amp* host_src,
                                std::size_t bytes, int buffer_token) {
-  Command cmd;
-  cmd.kind = Command::Kind::H2D;
-  cmd.buf = std::move(buf);
-  cmd.host_src = host_src;
-  cmd.bytes = bytes;
-  cmd.buffer_token = buffer_token;
-  push(std::move(cmd));
+  push({.kind = Command::Kind::H2D, .src = host_src, .dst = slot,
+        .bytes = bytes, .buffer_token = buffer_token});
 }
 
-void CommandQueue::enqueue_d2h(DeviceBuffer buf, Amp* host_dst,
+void CommandQueue::enqueue_d2h(const Amp* slot, Amp* host_dst,
                                std::size_t bytes, int buffer_token) {
-  Command cmd;
-  cmd.kind = Command::Kind::D2H;
-  cmd.buf = std::move(buf);
-  cmd.host_dst = host_dst;
-  cmd.bytes = bytes;
-  cmd.buffer_token = buffer_token;
-  push(std::move(cmd));
+  push({.kind = Command::Kind::D2H, .src = slot, .dst = host_dst,
+        .bytes = bytes, .buffer_token = buffer_token});
 }
 
 void CommandQueue::enqueue_launch(std::function<void()> fn, int exec_token,
                                   int buffer_token) {
-  Command cmd;
-  cmd.kind = Command::Kind::Launch;
-  cmd.fn = std::move(fn);
-  cmd.exec_token = exec_token;
-  cmd.buffer_token = buffer_token;
-  push(std::move(cmd));
-}
-
-void CommandQueue::enqueue_barrier() {
-  Command cmd;
-  cmd.kind = Command::Kind::Barrier;
-  push(std::move(cmd));
+  push({.kind = Command::Kind::Launch, .exec_token = exec_token,
+        .buffer_token = buffer_token, .fn = std::move(fn)});
 }
 
 void CommandQueue::sync() {
@@ -130,97 +111,69 @@ void CommandQueue::finish_launch(int exec_token, int buffer_token,
 }
 
 void CommandQueue::run_command(Command& cmd) {
-  switch (cmd.kind) {
-    case Command::Kind::H2D: {
-      {
-        // The modeled DMA engine: wait for the launch reading this slot
-        // (other slots' copies and every launch proceed meanwhile).
-        MutexLock lock(mu_);
-        const std::size_t b = static_cast<std::size_t>(cmd.buffer_token);
-        cv_state_.wait(mu_, [this, b]() ATLAS_REQUIRES(mu_) {
-          return pending_buf_[b] == 0;
-        });
-      }
-      try {
-        obs::TraceSpan span(obs::names::kSpanDeviceH2D, cmd.buffer_token);
-        cmd.buf.upload(cmd.host_src, cmd.bytes);
-      } catch (...) {
-        MutexLock lock(mu_);
-        record_error(std::current_exception());
-      }
-      queue_depth().add(-1);
-      break;
-    }
-    case Command::Kind::D2H: {
-      {
-        MutexLock lock(mu_);
-        const std::size_t b = static_cast<std::size_t>(cmd.buffer_token);
-        cv_state_.wait(mu_, [this, b]() ATLAS_REQUIRES(mu_) {
-          return pending_buf_[b] == 0;
-        });
-      }
-      try {
-        obs::TraceSpan span(obs::names::kSpanDeviceD2H, cmd.buffer_token);
-        cmd.buf.download(cmd.host_dst, cmd.bytes);
-      } catch (...) {
-        MutexLock lock(mu_);
-        record_error(std::current_exception());
-      }
-      queue_depth().add(-1);
-      break;
-    }
-    case Command::Kind::Launch: {
-      {
-        // One kernel at a time per modeled GPU — but the launch runs on
-        // the pool, so the worker is free to start the next slot's H2D
-        // the moment this dispatch lands: that gap is the overlap.
-        MutexLock lock(mu_);
-        const std::size_t g = static_cast<std::size_t>(cmd.exec_token);
-        cv_state_.wait(mu_, [this, g]() ATLAS_REQUIRES(mu_) {
-          return pending_exec_[g] == 0;
-        });
-        ++pending_exec_[g];
-        ++pending_buf_[static_cast<std::size_t>(cmd.buffer_token)];
-        ++pending_total_;
-      }
-      static obs::Counter& launches =
-          obs::counter(obs::names::kDeviceLaunches);
-      launches.inc();
-      // Every copy of `task` shares one `fn`, so the copy that runs can
-      // release it for all of them.
-      auto fn = std::make_shared<std::function<void()>>(std::move(cmd.fn));
-      auto task = [this, fn, g = cmd.exec_token, b = cmd.buffer_token] {
-        std::exception_ptr error;
-        try {
-          obs::TraceSpan span(obs::names::kSpanDeviceLaunch, g);
-          (*fn)();
-        } catch (...) {
-          error = std::current_exception();
-        }
-        // Release the closure, and every DeviceBuffer it captured,
-        // before reporting completion: ~CommandQueue returns the moment
-        // pending_total_ reaches zero, and no captured handle may
-        // outlive it.
-        *fn = nullptr;
-        finish_launch(g, b, std::move(error));
-      };
-      try {
-        pool_.submit(task);
-      } catch (const Error&) {
-        // Pool draining (session teardown): degrade to inline replay so
-        // the queue still drains deterministically.
-        task();
-      }
-      break;
-    }
-    case Command::Kind::Barrier: {
+  const std::size_t b = static_cast<std::size_t>(cmd.buffer_token);
+  if (cmd.kind != Command::Kind::Launch) {
+    {
+      // The modeled DMA engine: wait for the launch using this slot
+      // (other slots' copies and every launch proceed meanwhile).
       MutexLock lock(mu_);
-      cv_state_.wait(mu_, [this]() ATLAS_REQUIRES(mu_) {
-        return pending_total_ == 0;
+      cv_state_.wait(mu_, [this, b]() ATLAS_REQUIRES(mu_) {
+        return pending_buf_[b] == 0;
       });
-      queue_depth().add(-1);
-      break;
     }
+    static obs::Counter& uploads =
+        obs::counter(obs::names::kDeviceUploadBytes);
+    static obs::Counter& downloads =
+        obs::counter(obs::names::kDeviceDownloadBytes);
+    const bool h2d = cmd.kind == Command::Kind::H2D;
+    {
+      obs::TraceSpan span(
+          h2d ? obs::names::kSpanDeviceH2D : obs::names::kSpanDeviceD2H,
+          cmd.buffer_token);
+      std::memcpy(cmd.dst, cmd.src, cmd.bytes);
+    }
+    (h2d ? uploads : downloads).add(cmd.bytes);
+    queue_depth().add(-1);
+    return;
+  }
+  {
+    // One kernel at a time per modeled GPU — but the launch runs on the
+    // pool, so the worker is free to start the next slot's H2D the
+    // moment this dispatch lands: that gap is the overlap.
+    MutexLock lock(mu_);
+    const std::size_t g = static_cast<std::size_t>(cmd.exec_token);
+    cv_state_.wait(mu_, [this, g]() ATLAS_REQUIRES(mu_) {
+      return pending_exec_[g] == 0;
+    });
+    ++pending_exec_[g];
+    ++pending_buf_[b];
+    ++pending_total_;
+  }
+  static obs::Counter& launches = obs::counter(obs::names::kDeviceLaunches);
+  launches.inc();
+  // Every copy of `task` shares one `fn`, so the copy that runs can
+  // release it for all of them.
+  auto fn = std::make_shared<std::function<void()>>(std::move(cmd.fn));
+  auto task = [this, fn, g = cmd.exec_token, b = cmd.buffer_token] {
+    std::exception_ptr error;
+    try {
+      obs::TraceSpan span(obs::names::kSpanDeviceLaunch, g);
+      (*fn)();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Release the closure, and everything it captured, before reporting
+    // completion: ~CommandQueue returns the moment pending_total_
+    // reaches zero, and no capture may outlive it.
+    *fn = nullptr;
+    finish_launch(g, b, std::move(error));
+  };
+  try {
+    pool_.submit(task);
+  } catch (const Error&) {
+    // Pool draining (session teardown): degrade to inline replay so the
+    // queue still drains deterministically.
+    task();
   }
 }
 

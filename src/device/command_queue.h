@@ -2,10 +2,10 @@
 
 /// \file command_queue.h
 /// The asynchronous half of the device backend: a FIFO of typed
-/// commands (H2D, D2H, LAUNCH, BARRIER) drained by one dedicated worker
-/// thread, modeling a device stream. The executor enqueues a stage's
-/// whole transfer/replay schedule and returns to host work (remapping
-/// the next point, binding matrices) while the queue runs it.
+/// commands (H2D, D2H, LAUNCH) drained by one dedicated worker thread,
+/// modeling a device stream. The executor enqueues a stage's whole
+/// transfer/replay schedule and returns to host work (remapping the
+/// next point, binding matrices) while the queue runs it.
 ///
 /// Overlap model — two serialization domains, nothing else ordered:
 ///
@@ -21,23 +21,26 @@
 /// slot B while the kernel replays shard i out of slot A.
 ///
 /// Copies are executed synchronously by the worker (they are the
-/// modeled DMA engine); launches are submitted to the cluster's thread
-/// pool and tracked via per-token pending counts. BARRIER (and sync())
-/// waits for every prior command to complete. The destructor drains
-/// whatever is still enqueued — tearing a queue down under load is
-/// safe and exercised by the TSan suite. The first exception thrown by
-/// any command is captured and rethrown from sync().
+/// modeled DMA engine) and metered into device.upload_bytes /
+/// device.download_bytes; launches are submitted to the cluster's
+/// thread pool and tracked via per-token pending counts. sync() waits
+/// for every prior command to complete and rethrows the first
+/// exception any launch raised. Slots are raw pointers into storage
+/// the caller owns and must keep alive until the queue is destroyed:
+/// the destructor drains whatever is still enqueued and waits out
+/// in-flight launches — tearing a queue down under load is safe and
+/// exercised by the TSan suite.
 
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_pool.h"
-#include "device/buffer.h"
+#include "common/types.h"
 
 namespace atlas::device {
 
@@ -49,51 +52,45 @@ class CommandQueue {
   CommandQueue(ThreadPool& pool, int num_exec_tokens, int num_buffer_tokens);
 
   /// Drains every command still enqueued, waits for in-flight launches,
-  /// and joins the worker; on return every launch closure, and every
-  /// DeviceBuffer handle it captured, has been released. Pending errors are swallowed here (sync()
-  /// is the reporting point); destruction is never throwing.
+  /// and joins the worker; on return every launch closure has been
+  /// released, so the slots it captured may be freed. Pending errors
+  /// are swallowed here (sync() is the reporting point); destruction is
+  /// never throwing.
   ~CommandQueue();
 
   CommandQueue(const CommandQueue&) = delete;
   CommandQueue& operator=(const CommandQueue&) = delete;
 
-  /// Copy `bytes` from host memory into `buf` once every launch
+  /// Copy `bytes` from host memory into `slot` once every launch
   /// reading `buffer_token` has completed.
-  void enqueue_h2d(DeviceBuffer buf, const Amp* host_src, std::size_t bytes,
+  void enqueue_h2d(Amp* slot, const Amp* host_src, std::size_t bytes,
                    int buffer_token);
 
-  /// Copy `bytes` out of `buf` to host memory once every launch
+  /// Copy `bytes` out of `slot` to host memory once every launch
   /// writing `buffer_token` has completed.
-  void enqueue_d2h(DeviceBuffer buf, Amp* host_dst, std::size_t bytes,
+  void enqueue_d2h(const Amp* slot, Amp* host_dst, std::size_t bytes,
                    int buffer_token);
 
   /// Run `fn` on the cluster pool once `exec_token`'s previous launch
-  /// has completed. `fn` owns everything it reads (capture the
-  /// DeviceBuffer handle by value — the queue may outlive the caller's
-  /// stack frame).
+  /// has completed. `fn` owns everything it reads except the slots (the
+  /// queue may outlive the caller's stack frame).
   void enqueue_launch(std::function<void()> fn, int exec_token,
                       int buffer_token);
 
-  /// Full pipeline flush: the worker waits until every prior command
-  /// (including in-flight launches) has completed before consuming
-  /// anything enqueued after the barrier.
-  void enqueue_barrier();
-
   /// Blocks until everything enqueued so far has completed; rethrows
-  /// the first exception any command raised since the last sync().
+  /// the first exception any launch raised since the last sync().
   void sync();
 
  private:
   struct Command {
-    enum class Kind { H2D, D2H, Launch, Barrier };
-    Kind kind = Kind::Barrier;
-    DeviceBuffer buf;
-    const Amp* host_src = nullptr;
-    Amp* host_dst = nullptr;
+    enum class Kind { H2D, D2H, Launch };
+    Kind kind = Kind::Launch;
+    const Amp* src = nullptr;  ///< copies only
+    Amp* dst = nullptr;        ///< copies only
     std::size_t bytes = 0;
     int exec_token = 0;
     int buffer_token = 0;
-    std::function<void()> fn;
+    std::function<void()> fn = nullptr;  ///< launches only
   };
 
   void push(Command cmd) ATLAS_EXCLUDES(mu_);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "device/buffer.h"
 #include "device/command_queue.h"
 #include "exec/stage_program.h"
 #include "obs/metrics.h"
@@ -17,23 +15,18 @@ namespace atlas::exec {
 namespace {
 
 /// The device shard runner: everything allocated once per
-/// execute()/execute_batch() call — the staging arena, the command
-/// queue, and the double-buffered slots. Per-point execution pays this
-/// whole setup every call — exactly the fixed cost batching amortizes
-/// away.
+/// execute()/execute_batch() call — the staging arena (two shard slots
+/// per modeled GPU) and the command queue. Per-point execution pays
+/// this whole setup every call — exactly the fixed cost batching
+/// amortizes away.
 class DeviceRunner final : public ShardRunner {
  public:
-  explicit DeviceRunner(const device::Cluster& cluster) {
-    const auto& cfg = cluster.config();
-    gpus_ = std::min(cfg.total_gpus(), cfg.num_shards());
-    shard_size_ = Index{1} << cfg.local_qubits;
-    shard_bytes_ = static_cast<std::size_t>(shard_size_) * sizeof(Amp);
-    queue_ = std::make_unique<device::CommandQueue>(cluster.pool(), gpus_,
-                                                    2 * gpus_);
-    slots_.reserve(static_cast<std::size_t>(2 * gpus_));
-    for (int i = 0; i < 2 * gpus_; ++i)
-      slots_.push_back(arena_.allocate(shard_bytes_));
-  }
+  explicit DeviceRunner(const device::Cluster& cluster)
+      : gpus_(std::min(cluster.config().total_gpus(),
+                       cluster.config().num_shards())),
+        shard_size_(Index{1} << cluster.config().local_qubits),
+        arena_(static_cast<std::size_t>(2 * gpus_ * shard_size_)),
+        queue_(cluster.pool(), gpus_, 2 * gpus_) {}
 
   /// Enqueues one point's replay of `program` over every shard of
   /// `state`, pipelined: per round, all H2Ds land first, then all
@@ -55,6 +48,8 @@ class DeviceRunner final : public ShardRunner {
     }
     const int shards = state.num_shards();
     const int rounds = (shards + gpus_ - 1) / gpus_;
+    const std::size_t shard_bytes =
+        static_cast<std::size_t>(shard_size_) * sizeof(Amp);
     const auto slot_of = [](int r, int g) { return g * 2 + (r & 1); };
     const auto each_gpu = [&](int r, const auto& fn) {
       for (int g = 0; g < gpus_ && r * gpus_ + g < shards; ++g)
@@ -63,41 +58,42 @@ class DeviceRunner final : public ShardRunner {
     // One extra round (with no shards of its own) downloads the last.
     for (int r = 0; r <= rounds; ++r) {
       each_gpu(r, [&](int g, int s) {
-        queue_->enqueue_h2d(slots_[slot_of(r, g)], state.shard(s).data(),
-                            shard_bytes_, slot_of(r, g));
+        queue_.enqueue_h2d(slot(slot_of(r, g)), state.shard(s).data(),
+                           shard_bytes, slot_of(r, g));
       });
       each_gpu(r, [&](int g, int s) {
-        device::DeviceBuffer buf = slots_[slot_of(r, g)];
-        queue_->enqueue_launch(
-            [program, buf, s, size = shard_size_] {
+        queue_.enqueue_launch(
+            [program, buf = slot(slot_of(r, g)), s, size = shard_size_] {
               std::vector<Amp> scratch;
-              run_stage_program(*program, s, buf.data(), size, scratch);
+              run_stage_program(*program, s, buf, size, scratch);
             },
             g, slot_of(r, g));
       });
       if (r > 0) {
         each_gpu(r - 1, [&](int g, int s) {
-          queue_->enqueue_d2h(slots_[slot_of(r - 1, g)],
-                              state.shard(s).data(), shard_bytes_,
-                              slot_of(r - 1, g));
+          queue_.enqueue_d2h(slot(slot_of(r - 1, g)), state.shard(s).data(),
+                             shard_bytes, slot_of(r - 1, g));
         });
       }
     }
   }
 
   void barrier() override {
-    queue_->sync();
+    queue_.sync();
     stage_uploaded_ = false;
   }
 
  private:
-  int gpus_ = 0;  ///< modeled GPUs in use: min(total GPUs, shards)
-  Index shard_size_ = 0;
-  std::size_t shard_bytes_ = 0;
+  Amp* slot(int i) { return arena_.data() + i * shard_size_; }
+
+  int gpus_;  ///< modeled GPUs in use: min(total GPUs, shards)
+  Index shard_size_;
   bool stage_uploaded_ = false;
-  device::StagingPool arena_;
-  std::unique_ptr<device::CommandQueue> queue_;
-  std::vector<device::DeviceBuffer> slots_;  ///< 2 per GPU
+  /// Slot i is arena_[i * shard_size_, (i + 1) * shard_size_), two per
+  /// GPU. Declared before queue_: the queue's destructor drains every
+  /// in-flight launch before the arena is freed.
+  std::vector<Amp> arena_;
+  device::CommandQueue queue_;
 };
 
 }  // namespace

@@ -4,9 +4,10 @@
 /// The "device" executor backend: EXECUTE over an explicit
 /// device-transfer architecture. It runs the one plan walk
 /// (execute_plan()) with a shard runner that actually stages every
-/// shard through a DeviceBuffer before replaying kernels on it, where
-/// the in-place runner replays on the host shard buffers directly (and,
-/// when offloading, the walk merely *meters* the staging traffic):
+/// shard through a slot of its staging arena before replaying kernels
+/// on it, where the in-place runner replays on the host shard buffers
+/// directly (and, when offloading, the walk merely *meters* the staging
+/// traffic):
 ///
 ///   host shard --H2D--> staging slot --LAUNCH--> --D2H--> host shard
 ///
@@ -26,7 +27,7 @@
 ///
 /// The CommStats metering is the walk's, so modeled-time figures are
 /// the same on every backend; the *real* staged bytes appear separately
-/// in the device.* metrics and device::buffer_stats().
+/// in the device.upload_bytes / device.download_bytes counters.
 
 #include <vector>
 

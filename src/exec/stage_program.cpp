@@ -1,7 +1,6 @@
 #include "exec/stage_program.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/bits.h"
@@ -15,7 +14,10 @@
 namespace atlas::exec {
 namespace {
 
-std::atomic<std::uint64_t> g_kernel_binds{0};
+obs::Counter& kernel_binds() {
+  static obs::Counter& c = obs::counter(obs::names::kExecKernelBinds);
+  return c;
+}
 
 using GateSlot = StageSkeleton::GateSlot;
 using VariantSkeleton = StageSkeleton::VariantSkeleton;
@@ -189,9 +191,7 @@ std::uint64_t layout_digest(const Layout& layout) {
   return f.value();
 }
 
-std::uint64_t stage_kernel_binds() {
-  return g_kernel_binds.load(std::memory_order_relaxed);
-}
+std::uint64_t stage_kernel_binds() { return kernel_binds().value(); }
 
 StageSkeleton compile_stage_skeleton(const Circuit& subcircuit,
                                      const kernelize::Kernelization& kernels,
@@ -255,7 +255,7 @@ StageProgram bind_stage_program(const Circuit& subcircuit,
       prog.kernels.push_back(reuse->kernels[ki]);
       continue;
     }
-    g_kernel_binds.fetch_add(1, std::memory_order_relaxed);
+    kernel_binds().inc();
     KernelProgram kp;
     kp.pattern_bits = ks.pattern_bits;
     kp.bound_values = std::move(bound);

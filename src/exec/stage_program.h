@@ -190,8 +190,9 @@ StageProgram bind_stage_program(const Circuit& subcircuit,
                                 const StageProgram* reuse = nullptr);
 
 /// Process-wide count of KernelProgram materializations inside
-/// bind_stage_program(). Regression probe for the bind-many delta: a
-/// batched sweep re-binds only parameter-dependent kernels per point.
+/// bind_stage_program(): the exec.kernel_binds obs counter. Regression
+/// probe for the bind-many delta: a batched sweep re-binds only
+/// parameter-dependent kernels per point.
 std::uint64_t stage_kernel_binds();
 
 /// Thread-safe lazy holder for one stage's skeleton, shared by every

@@ -1,21 +1,25 @@
 #include "ir/param.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 
 namespace atlas {
 namespace {
 
-/// Counts every string-keyed ParamBinding lookup process-wide. Relaxed
-/// increments: the probe is a monotonic counter read between quiescent
-/// points, never a synchronization primitive.
-std::atomic<std::uint64_t> g_binding_lookups{0};
+/// Counts every string-keyed ParamBinding lookup process-wide: the
+/// hot-path tests snapshot it around sweeps to prove execution does no
+/// per-point string lookups once parameters are slot-lowered.
+obs::Counter& binding_lookups() {
+  static obs::Counter& c = obs::counter(obs::names::kIrBindingLookups);
+  return c;
+}
 
 /// Prints one term's coefficient and symbol: "theta", "-theta",
 /// "2*theta". `lead` selects the leading-position form (signed) vs the
@@ -35,20 +39,16 @@ void print_term(std::ostream& os, double coeff, const std::string& sym,
 }  // namespace
 
 bool ParamBinding::contains(const std::string& name) const {
-  g_binding_lookups.fetch_add(1, std::memory_order_relaxed);
+  binding_lookups().inc();
   return values_.count(name) != 0;
 }
 
 double ParamBinding::at(const std::string& name) const {
-  g_binding_lookups.fetch_add(1, std::memory_order_relaxed);
+  binding_lookups().inc();
   auto it = values_.find(name);
   ATLAS_CHECK(it != values_.end(), "no value bound for symbol '" << name
                                                                  << "'");
   return it->second;
-}
-
-std::uint64_t ParamBinding::probe_lookups() {
-  return g_binding_lookups.load(std::memory_order_relaxed);
 }
 
 Param Param::symbol(std::string name) {

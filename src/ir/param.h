@@ -17,11 +17,9 @@
 /// Execution never touches ParamBinding on its hot path: the engine
 /// lowers bindings into a dense SlotValues table (slot "$k" at index k)
 /// once per run, and kernels resolve parameters by array indexing. The
-/// ParamBinding lookup probe (probe_lookups()) exists to regression-test
-/// exactly that — it counts every string-keyed at()/contains() call
-/// process-wide.
+/// ir.binding_lookups obs counter regression-tests exactly that — it
+/// counts every string-keyed at()/contains() call process-wide.
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
@@ -53,12 +51,6 @@ class ParamBinding {
 
   /// Throws atlas::Error naming the symbol when unbound.
   double at(const std::string& name) const;
-
-  /// Process-wide count of string-keyed lookups (at()/contains()) made
-  /// against any ParamBinding. The hot-path regression tests snapshot
-  /// this around sweeps to prove execution does zero per-point string
-  /// lookups once parameters are slot-lowered.
-  static std::uint64_t probe_lookups();
 
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }

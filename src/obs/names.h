@@ -39,8 +39,14 @@ inline constexpr char kExecRuns[] = "exec.runs";
 inline constexpr char kExecStageUs[] = "exec.stage_us";
 inline constexpr char kSkeletonCacheHits[] = "exec.skeleton_cache.hits";
 inline constexpr char kSkeletonCacheMisses[] = "exec.skeleton_cache.misses";
+/// KernelProgram materializations in bind_stage_program().
+inline constexpr char kExecKernelBinds[] = "exec.kernel_binds";
 
-// --- device backend (device/buffer.cpp, device/command_queue.cpp,
+// --- parameters (ir/param.cpp) ----------------------------------------
+/// String-keyed ParamBinding lookups (at()/contains()).
+inline constexpr char kIrBindingLookups[] = "ir.binding_lookups";
+
+// --- device backend (device/command_queue.cpp,
 // --- exec/device_executor.cpp) ----------------------------------------
 inline constexpr char kDeviceQueueDepth[] = "device.queue.depth";
 inline constexpr char kDeviceUploadBytes[] = "device.upload_bytes";

@@ -66,14 +66,4 @@ StagerRegistry& stager_registry() {
   return *registry;
 }
 
-const char* stager_engine_name(StagerEngine engine) {
-  switch (engine) {
-    case StagerEngine::Auto: return "auto";
-    case StagerEngine::Ilp: return "ilp";
-    case StagerEngine::Bnb: return "bnb";
-    case StagerEngine::SnuQS: return "snuqs";
-  }
-  throw Error("unknown stager engine");
-}
-
 }  // namespace atlas::staging

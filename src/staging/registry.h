@@ -4,8 +4,7 @@
 /// The pluggable staging seam: a polymorphic Stager interface over the
 /// STAGE engines (ilp, bnb, snuqs, auto) plus a string-keyed registry
 /// so external engines can plug in without touching core headers.
-/// SessionConfig::stager selects by name; stage_circuit() keeps the
-/// legacy enum path routed through the same registry.
+/// SessionConfig::stager and stage_circuit() both select by name.
 
 #include <memory>
 #include <string>
@@ -52,8 +51,5 @@ using StagerRegistry = Registry<Stager>;
 /// "auto") are registered on first access; user engines may be added
 /// any time with stager_registry().add(name, factory).
 StagerRegistry& stager_registry();
-
-/// The registry key for a legacy StagerEngine enum value.
-const char* stager_engine_name(StagerEngine engine);
 
 }  // namespace atlas::staging

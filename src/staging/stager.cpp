@@ -5,12 +5,9 @@
 namespace atlas::staging {
 
 StagedCircuit stage_circuit(const Circuit& circuit, const MachineShape& shape,
+                            const std::string& engine,
                             const StagingOptions& options) {
-  // The legacy enum path and the Session's by-name path share one
-  // implementation: resolve the engine from the registry.
-  return stager_registry()
-      .create(stager_engine_name(options.engine))
-      ->stage(circuit, shape, options);
+  return stager_registry().create(engine)->stage(circuit, shape, options);
 }
 
 }  // namespace atlas::staging

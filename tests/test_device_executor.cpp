@@ -1,13 +1,13 @@
 // Device-executor tests: the explicit-transfer backend must be
 // invisible to results — bit-identical to "inmemory" across randomized
 // circuits, shapes, sweeps, and noisy trajectory batches (including
-// derived seeds and measurement-sample streams) — while its buffer
-// lifecycle stays airtight: zero leaked staging blocks after a session
-// closes, constants uploaded once per stage per batch, and delta
-// binding paying K + (N-1)*P kernel binds for an N-point batch instead
-// of N*K. The CommandQueue is exercised directly for ordering,
-// error propagation, and teardown under load (the TSan job runs this
-// whole binary, so the stress tests double as race detectors).
+// derived seeds and measurement-sample streams) — while its staging
+// traffic stays exact: every shard crosses each way once per stage per
+// point, constants upload once per stage per batch, and delta binding
+// pays K + (N-1)*P kernel binds for an N-point batch instead of N*K.
+// The CommandQueue is exercised directly for ordering, error
+// propagation, and teardown under load (the TSan job runs this whole
+// binary, so the stress tests double as race detectors).
 
 #include <gtest/gtest.h>
 
@@ -227,29 +227,38 @@ TEST(DeviceExecutor, RunNoisyBitIdenticalToInmemory) {
 }
 
 // -------------------------------------------------------------------
-// Buffer lifecycle and bind accounting.
+// Staging traffic and bind accounting.
 // -------------------------------------------------------------------
 
-TEST(DeviceBuffers, NoLeakedBuffersAfterSessionClose) {
+TEST(DeviceStaging, SweepStagesEveryShardExactlyOncePerStagePerPoint) {
+  // An N-point sweep over K stages and S shards stages each shard
+  // through a slot once per stage per point: exactly N*K*S*shard_bytes
+  // each way, on the obs counters and through buffer_stats().
+  const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
+  const CompiledCircuit compiled = dev.compile(make_ansatz(6, 2));
+  const std::vector<std::vector<double>> points = sweep_points(compiled, 8);
+  obs::Counter& up = obs::counter(obs::names::kDeviceUploadBytes);
+  obs::Counter& down = obs::counter(obs::names::kDeviceDownloadBytes);
   const device::BufferStats before = device::buffer_stats();
-  {
-    const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
-    const CompiledCircuit compiled = dev.compile(make_ansatz(6, 2));
-    const std::vector<SimulationResult> results =
-        dev.sweep(compiled, sweep_points(compiled, 8));
-    ASSERT_EQ(results.size(), 8u);
-  }
+  const std::uint64_t up0 = up.value(), down0 = down.value();
+  ASSERT_EQ(dev.sweep(compiled, points).size(), points.size());
+
+  const device::ClusterConfig& cfg = dev.cluster().config();
+  const std::uint64_t stages = compiled.plan()->stages.size();
+  const std::uint64_t shards = cfg.num_shards();
+  const std::uint64_t shard_bytes = sizeof(Amp) << cfg.local_qubits;
+  const std::uint64_t expected =
+      points.size() * stages * shards * shard_bytes;
+  ASSERT_GT(stages, 0u);
+  EXPECT_EQ(shards, 4u);
+  EXPECT_EQ(up.value() - up0, expected);
+  EXPECT_EQ(down.value() - down0, expected);
   const device::BufferStats after = device::buffer_stats();
-  EXPECT_EQ(after.live_buffers, before.live_buffers);
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  // Every block the session's arenas carved was returned to the OS.
-  EXPECT_EQ(after.allocated_blocks - before.allocated_blocks,
-            after.freed_blocks - before.freed_blocks);
-  EXPECT_GT(after.uploads, before.uploads);
-  EXPECT_GT(after.downloads, before.downloads);
+  EXPECT_EQ(after.upload_bytes - before.upload_bytes, expected);
+  EXPECT_EQ(after.download_bytes - before.download_bytes, expected);
 }
 
-TEST(DeviceBuffers, ConstantsUploadOncePerStagePerBatch) {
+TEST(DeviceStaging, ConstantsUploadOncePerStagePerBatch) {
   const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(make_ansatz(6, 2));
   const std::vector<std::vector<double>> points = sweep_points(compiled, 32);
@@ -268,7 +277,7 @@ TEST(DeviceBuffers, ConstantsUploadOncePerStagePerBatch) {
   EXPECT_EQ(const_uploads.value() - uploads0, stages);
 }
 
-TEST(DeviceBuffers, DeltaBindPaysConstantsOncePerBatch) {
+TEST(DeviceStaging, DeltaBindPaysConstantsOncePerBatch) {
   const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(make_mixed_circuit(6));
   const std::vector<std::vector<double>> p1 = sweep_points(compiled, 1);
@@ -356,26 +365,25 @@ TEST(DeviceCapacity, AutoPrefersDeviceOnOffloadingShapes) {
 
 TEST(CommandQueue, PipelinedRoundsProduceOrderedResults) {
   ThreadPool pool(3);
-  device::StagingPool staging;
   constexpr std::size_t kAmps = 64;
   constexpr int kRounds = 10;
   const std::size_t bytes = kAmps * sizeof(Amp);
-  // One exec token, two slots — the double-buffered steady state.
-  device::CommandQueue queue(pool, 1, 2);
-  std::vector<device::DeviceBuffer> slots = {staging.allocate(bytes),
-                                             staging.allocate(bytes)};
   std::vector<std::vector<Amp>> host(kRounds, std::vector<Amp>(kAmps));
   for (int r = 0; r < kRounds; ++r)
     for (std::size_t i = 0; i < kAmps; ++i)
       host[r][i] = Amp(static_cast<double>(r), static_cast<double>(i));
+  // One exec token, two slots — the double-buffered steady state. The
+  // slots and the host rows outlive the queue.
+  std::vector<std::vector<Amp>> slots(2, std::vector<Amp>(kAmps));
+  device::CommandQueue queue(pool, 1, 2);
 
   for (int r = 0; r < kRounds; ++r) {
     const int slot = r & 1;
-    device::DeviceBuffer buf = slots[static_cast<std::size_t>(slot)];
+    Amp* buf = slots[static_cast<std::size_t>(slot)].data();
     queue.enqueue_h2d(buf, host[r].data(), bytes, slot);
     queue.enqueue_launch(
         [buf]() {
-          for (std::size_t i = 0; i < kAmps; ++i) buf.data()[i] *= 2.0;
+          for (std::size_t i = 0; i < kAmps; ++i) buf[i] *= 2.0;
         },
         /*exec_token=*/0, slot);
     queue.enqueue_d2h(buf, host[r].data(), bytes, slot);
@@ -390,9 +398,7 @@ TEST(CommandQueue, PipelinedRoundsProduceOrderedResults) {
 
 TEST(CommandQueue, SyncRethrowsFirstLaunchError) {
   ThreadPool pool(2);
-  device::StagingPool staging;
   device::CommandQueue queue(pool, 1, 1);
-  device::DeviceBuffer buf = staging.allocate(sizeof(Amp));
   queue.enqueue_launch(
       []() { throw Error("injected launch failure", ErrorCode::internal); },
       0, 0);
@@ -406,38 +412,41 @@ TEST(CommandQueue, SyncRethrowsFirstLaunchError) {
   queue.sync();  // error is consumed; the queue stays usable
 }
 
-TEST(CommandQueue, TeardownUnderLoadLeaksNothing) {
-  const device::BufferStats before = device::buffer_stats();
-  {
-    ThreadPool pool(4);
-    for (int iter = 0; iter < 20; ++iter) {
-      device::StagingPool staging;
-      constexpr std::size_t kAmps = 256;
-      const std::size_t bytes = kAmps * sizeof(Amp);
-      std::vector<Amp> host(kAmps, Amp(1.0, -1.0));
+TEST(CommandQueue, TeardownUnderLoadDrainsEveryCommand) {
+  constexpr std::size_t kAmps = 256;
+  constexpr int kRounds = 32;
+  const std::size_t bytes = kAmps * sizeof(Amp);
+  obs::Counter& up = obs::counter(obs::names::kDeviceUploadBytes);
+  obs::Counter& down = obs::counter(obs::names::kDeviceDownloadBytes);
+  ThreadPool pool(4);
+  for (int iter = 0; iter < 20; ++iter) {
+    const std::uint64_t up0 = up.value(), down0 = down.value();
+    std::vector<Amp> host(kAmps, Amp(1.0, -1.0));
+    std::vector<std::vector<Amp>> slots(4, std::vector<Amp>(kAmps));
+    {
       device::CommandQueue queue(pool, 2, 4);
-      for (int r = 0; r < 32; ++r) {
+      for (int r = 0; r < kRounds; ++r) {
         const int slot = r & 3;
-        device::DeviceBuffer buf = staging.allocate(bytes);
+        Amp* buf = slots[static_cast<std::size_t>(slot)].data();
         queue.enqueue_h2d(buf, host.data(), bytes, slot);
         queue.enqueue_launch(
             [buf]() {
-              for (std::size_t i = 0; i < kAmps; ++i) buf.data()[i] += 1.0;
+              for (std::size_t i = 0; i < kAmps; ++i) buf[i] += 1.0;
             },
             r & 1, slot);
-        if (r % 4 == 0) queue.enqueue_barrier();
         queue.enqueue_d2h(buf, host.data(), bytes, slot);
       }
-      // No sync: the destructor must drain in-flight launches, release
-      // every captured handle, and join — under TSan this is the
-      // teardown-under-load race check.
+      // No sync: the destructor must drain every queued command and
+      // wait out in-flight launches before the slots die — under TSan
+      // this is the teardown-under-load race check.
     }
+    EXPECT_EQ(up.value() - up0, kRounds * bytes);
+    EXPECT_EQ(down.value() - down0, kRounds * bytes);
+    // The slot-per-round FIFO chain makes every round's copy-in,
+    // increment, copy-out land in order: 32 increments in total.
+    for (std::size_t i = 0; i < kAmps; ++i)
+      ASSERT_EQ(host[i], Amp(1.0 + kRounds, -1.0)) << "iter " << iter;
   }
-  const device::BufferStats after = device::buffer_stats();
-  EXPECT_EQ(after.live_buffers, before.live_buffers);
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_EQ(after.allocated_blocks - before.allocated_blocks,
-            after.freed_blocks - before.freed_blocks);
 }
 
 TEST(CommandQueue, DestructorReturnsAfterLaunchCapturesAreReleased) {

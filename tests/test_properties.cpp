@@ -150,9 +150,7 @@ TEST_P(StagingSweepTest, ValidAndMonotoneAcrossLocalSizes) {
     shape.num_local = local;
     shape.num_global = std::min(2, 13 - local);
     shape.num_regional = 13 - local - shape.num_global;
-    staging::StagingOptions opt;
-    opt.engine = staging::StagerEngine::Bnb;
-    const auto staged = staging::stage_circuit(c, shape, opt);
+    const auto staged = staging::stage_circuit(c, shape, "bnb");
     staging::validate_staging(c, staged, shape);
     // More local qubits never force more stages (the ILP's optimality
     // property the paper contrasts with SnuQS's non-monotonicity).

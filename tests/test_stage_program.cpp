@@ -149,10 +149,11 @@ TEST(StageProgram, DensePointRunsDoZeroParamBindingLookups) {
   const std::vector<double> point = {0.3, 0.7, 1.1, 1.9};
   (void)session.run(compiled, point);  // warm everything once
 
-  const std::uint64_t before = ParamBinding::probe_lookups();
+  const obs::Counter& lookups = obs::counter(obs::names::kIrBindingLookups);
+  const std::uint64_t before = lookups.value();
   constexpr int kRuns = 4;
   for (int i = 0; i < kRuns; ++i) (void)session.run(compiled, point);
-  EXPECT_EQ(ParamBinding::probe_lookups() - before, 0u);
+  EXPECT_EQ(lookups.value() - before, 0u);
 }
 
 // The skeleton-cache regression: the binding-independent half of stage
@@ -207,13 +208,13 @@ TEST(StageProgram, BindingRunsDoOneLookupPerSymbolOnly) {
       {"gamma0", 0.3}, {"gamma1", 0.7}, {"theta0", 1.1}, {"theta1", 1.9}};
   (void)session.run(compiled, binding);
 
-  const std::uint64_t before = ParamBinding::probe_lookups();
+  const obs::Counter& lookups = obs::counter(obs::names::kIrBindingLookups);
+  const std::uint64_t before = lookups.value();
   constexpr std::uint64_t kRuns = 4;
   for (std::uint64_t i = 0; i < kRuns; ++i) (void)session.run(compiled, binding);
   // One at() per free symbol per run — never per gate, per slot, or per
   // shard (the ansatz has 24 parameterized gates on 4 symbols).
-  EXPECT_EQ(ParamBinding::probe_lookups() - before,
-            kRuns * compiled.symbols().size());
+  EXPECT_EQ(lookups.value() - before, kRuns * compiled.symbols().size());
 }
 
 }  // namespace

@@ -71,16 +71,14 @@ TEST(Reduce, AssignOriginalStagesRespectsDependencies) {
 // Engine-level tests. Every result must pass validate_staging.
 
 class StagingFamilyTest
-    : public ::testing::TestWithParam<std::tuple<std::string, StagerEngine>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(StagingFamilyTest, ProducesValidStaging) {
   const auto& [family, engine] = GetParam();
   const int n = 10;
   const Circuit c = circuits::make_family(family, n);
   const MachineShape shape = shape_of(n, 6, 2, 2);
-  StagingOptions opt;
-  opt.engine = engine;
-  const StagedCircuit staged = stage_circuit(c, shape, opt);
+  const StagedCircuit staged = stage_circuit(c, shape, engine);
   validate_staging(c, staged, shape);
   EXPECT_GE(staged.stages.size(), 1u);
 }
@@ -88,12 +86,12 @@ TEST_P(StagingFamilyTest, ProducesValidStaging) {
 INSTANTIATE_TEST_SUITE_P(
     BnbAllFamilies, StagingFamilyTest,
     ::testing::Combine(::testing::ValuesIn(circuits::family_names()),
-                       ::testing::Values(StagerEngine::Bnb)));
+                       ::testing::Values("bnb")));
 
 INSTANTIATE_TEST_SUITE_P(
     SnuqsAllFamilies, StagingFamilyTest,
     ::testing::Combine(::testing::ValuesIn(circuits::family_names()),
-                       ::testing::Values(StagerEngine::SnuQS)));
+                       ::testing::Values("snuqs")));
 
 TEST(Staging, SingleStageWhenEverythingFitsLocally) {
   const Circuit c = circuits::ghz(6);
@@ -110,12 +108,8 @@ TEST(Staging, GhzChainStageCountMatchesPrefixPacking) {
   const int n = 8;
   const Circuit c = circuits::ghz(n);
   const MachineShape shape = shape_of(n, 4, 2, 2);
-  StagingOptions bnb;
-  bnb.engine = StagerEngine::Bnb;
-  const StagedCircuit via_bnb = stage_circuit(c, shape, bnb);
-  StagingOptions ilp;
-  ilp.engine = StagerEngine::Ilp;
-  const StagedCircuit via_ilp = stage_circuit(c, shape, ilp);
+  const StagedCircuit via_bnb = stage_circuit(c, shape, "bnb");
+  const StagedCircuit via_ilp = stage_circuit(c, shape, "ilp");
   validate_staging(c, via_bnb, shape);
   validate_staging(c, via_ilp, shape);
   EXPECT_EQ(via_bnb.stages.size(), via_ilp.stages.size());
@@ -149,12 +143,10 @@ TEST_P(IlpVsBnbTest, StageCountsAgree) {
   // specialized engine must match it on every small instance.
   const CrossCase cse = cross_cases()[GetParam()];
   StagingOptions ilp_opt;
-  ilp_opt.engine = StagerEngine::Ilp;
   ilp_opt.ilp.node_budget = 200000;
-  const StagedCircuit via_ilp = stage_circuit(cse.circuit, cse.shape, ilp_opt);
-  StagingOptions bnb_opt;
-  bnb_opt.engine = StagerEngine::Bnb;
-  const StagedCircuit via_bnb = stage_circuit(cse.circuit, cse.shape, bnb_opt);
+  const StagedCircuit via_ilp =
+      stage_circuit(cse.circuit, cse.shape, "ilp", ilp_opt);
+  const StagedCircuit via_bnb = stage_circuit(cse.circuit, cse.shape, "bnb");
   validate_staging(cse.circuit, via_ilp, cse.shape);
   validate_staging(cse.circuit, via_bnb, cse.shape);
   EXPECT_EQ(via_bnb.stages.size(), via_ilp.stages.size()) << cse.name;
@@ -170,9 +162,7 @@ TEST(Staging, BnbNeverWorseThanSnuqsOnFamilies) {
     const int n = 12;
     const Circuit c = circuits::make_family(family, n);
     const MachineShape shape = shape_of(n, 7, 2, 3);
-    StagingOptions opt;
-    opt.engine = StagerEngine::Bnb;
-    const auto atlas_staged = stage_circuit(c, shape, opt);
+    const auto atlas_staged = stage_circuit(c, shape, "bnb");
     const auto snuqs_staged = stage_with_snuqs(c, shape);
     validate_staging(c, atlas_staged, shape);
     validate_staging(c, snuqs_staged, shape);

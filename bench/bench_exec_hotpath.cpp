@@ -12,13 +12,21 @@
 //             ShmProgram: a CX-heavy Table-I-shaped kernel, then one
 //             kernel per gate class (cx, cp/cz, ry, rz) reported in ns
 //             per amplitude per gate;
+//   remap   : the inter-stage all-to-all on the oneshot_table1 shape
+//             (n=21, L=17, 16 shards; n=18, L=14 under --smoke), with
+//             local bits 0-3, 4-7 or 10-13 swapped against the four
+//             non-local ones — seed per-block index loop vs the tiled
+//             bit-permutation walk, in ms, GB/s read+write and % of a
+//             stream ceiling measured on the same pool;
 //   e2e     : compile()+sweep() vs per-binding simulate() (bit-identity
 //             gate on the whole pipeline).
 //
 // Every timed pair runs the same gates on copies of the same buffer and
 // the results are compared with operator== (exact; -0.0 == +0.0), so
-// the speedup is never bought with different arithmetic. Full mode
-// gates on >= 2x geomean speedup for the general k-qubit path (k>=2);
+// the speedup is never bought with different arithmetic; the remap pairs
+// also compare their CommStats. Full mode gates on >= 2x geomean
+// speedup for the general k-qubit path (k>=2) and >= 3x for the
+// bits 0-3 remap;
 // --smoke shrinks buffers and skips the flaky-on-CI perf gate; --json
 // PATH emits a BENCH_exec.json artifact for trend tracking.
 
@@ -30,6 +38,7 @@
 
 #include "common/bits.h"
 #include "common/timer.h"
+#include "exec/remap.h"
 #include "sim/apply.h"
 #include "sim/shm_executor.h"
 #include "util.h"
@@ -169,6 +178,97 @@ Index seed_run_shm(Amp* data, Index size, const std::vector<Gate>& gates,
   return num_batches;
 }
 
+/// The seed's remap: a fresh zero-filled shard set, one n-bit index loop
+/// and one memcpy per block of low bits the map fixes.
+device::CommStats seed_remap(exec::DistState& state,
+                             const exec::Layout& new_layout,
+                             const device::Cluster& cluster) {
+  const exec::Layout& old_layout = state.layout();
+  const int n = state.num_qubits();
+  const int L = new_layout.num_local;
+  ATLAS_CHECK(old_layout.num_local == L,
+              "remap cannot change the local qubit count");
+  ATLAS_CHECK(new_layout.num_qubits() == n, "layout size mismatch");
+
+  // Composite map: dst storage index -> src storage index.
+  //   src = spread_bits(dst, bitmap) ^ xor_const
+  // where bitmap[p] = old physical position of the logical qubit that
+  // the new layout places at physical position p, and xor_const folds
+  // both layouts' shard_xor corrections through the permutation.
+  std::vector<int> bitmap(n);
+  for (int p = 0; p < n; ++p)
+    bitmap[p] = old_layout.phys_of_logical[new_layout.logical_of_phys[p]];
+  Index xor_const = old_layout.shard_xor << L;
+  {
+    const Index a = new_layout.shard_xor << L;  // pre-permutation flips
+    for (int p = 0; p < n; ++p)
+      if (test_bit(a, p)) xor_const ^= bit(bitmap[p]);
+  }
+
+  device::CommStats stats;
+  // Identity fast path: nothing moves.
+  bool identity = xor_const == 0;
+  for (int p = 0; p < n && identity; ++p) identity = bitmap[p] == p;
+  if (identity) {
+    state.layout() = new_layout;
+    return stats;
+  }
+
+  // Block size: low bits fixed by the map move as contiguous runs.
+  int block_bits = 0;
+  while (block_bits < L && bitmap[block_bits] == block_bits &&
+         !test_bit(xor_const, block_bits))
+    ++block_bits;
+  const Index block = Index{1} << block_bits;
+  const Index shard_size = state.shard_size();
+  const int num_shards = state.num_shards();
+
+  std::vector<std::vector<Amp>> dst(
+      num_shards, std::vector<Amp>(shard_size));
+  const auto& src_shards = state.shards();
+
+  // Per-shard byte accounting, merged after the parallel loop.
+  std::vector<std::uint64_t> intra_gpu(num_shards, 0), intra_node(num_shards, 0),
+      inter_node(num_shards, 0);
+
+  cluster.pool().parallel_for(
+      static_cast<std::size_t>(num_shards), [&](std::size_t s1) {
+        const Index base = static_cast<Index>(s1) << L;
+        for (Index o = 0; o < shard_size; o += block) {
+          const Index d = base | o;
+          Index src = xor_const;
+          for (int p = block_bits; p < n; ++p)
+            if (test_bit(d, p)) src ^= bit(bitmap[p]);
+          src |= d & (block - 1);
+          const int s0 = static_cast<int>(src >> L);
+          std::memcpy(dst[s1].data() + o,
+                      src_shards[s0].data() + (src & (shard_size - 1)),
+                      block * sizeof(Amp));
+          const std::uint64_t bytes = block * sizeof(Amp);
+          if (s0 == static_cast<int>(s1)) {
+            intra_gpu[s1] += bytes;
+          } else if (cluster.node_of_shard(s0) ==
+                     cluster.node_of_shard(static_cast<int>(s1))) {
+            intra_node[s1] += bytes;
+          } else {
+            inter_node[s1] += bytes;
+          }
+        }
+      });
+
+  for (int s = 0; s < num_shards; ++s) {
+    stats.intra_gpu_bytes += intra_gpu[s];
+    stats.intra_node_bytes += intra_node[s];
+    stats.inter_node_bytes += inter_node[s];
+  }
+  if (stats.intra_node_bytes + stats.inter_node_bytes > 0)
+    stats.alltoall_rounds = 1;
+
+  state.shards() = std::move(dst);
+  state.layout() = new_layout;
+  return stats;
+}
+
 // --- Harness ------------------------------------------------------------
 
 std::vector<Amp> random_buffer(int n, std::uint64_t seed) {
@@ -233,6 +333,78 @@ PairResult time_pair(const std::vector<Amp>& initial,
   }
   out.identical = a == b;
   return out;
+}
+
+/// The remap rows' ceiling: best of 5 in-place read+write passes over
+/// `bytes` bytes split across `pool`, in GB/s of bytes read plus bytes
+/// written — the same accounting as the rows.
+double stream_gbps(ThreadPool& pool, std::size_t bytes) {
+  std::vector<double> a(bytes / sizeof(double), 1.0);
+  const std::size_t chunks = pool.size();
+  const std::size_t chunk = (a.size() + chunks - 1) / chunks;
+  const auto pass = [&] {
+    pool.parallel_for(chunks, [&](std::size_t c) {
+      const std::size_t hi = std::min(a.size(), (c + 1) * chunk);
+      for (std::size_t i = c * chunk; i < hi; ++i) a[i] = a[i] * 0.5 + 1.0;
+    });
+  };
+  pass();
+  double best = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    Timer t;
+    pass();
+    best = std::max(best, 2.0 * static_cast<double>(bytes) / t.seconds());
+  }
+  return best / 1e9;
+}
+
+struct RemapRow {
+  std::string moved;  // the local bits swapped against the non-local ones
+  double seed_ms = 0;
+  double new_ms = 0;
+  double gbps = 0;  // exec::remap, bytes read + bytes written
+  bool identical = false;
+  double speedup() const { return seed_ms / new_ms; }
+};
+
+/// Swaps local bits [lo, lo + 4) of an identity-layout random state with
+/// the four non-local bits, through the seed loop and exec::remap, each
+/// timed best of `reps` on a fresh copy; compares shards and CommStats.
+RemapRow time_remap(const exec::DistState& initial,
+                    const device::Cluster& cluster, int lo, int reps) {
+  const int n = initial.num_qubits();
+  const int L = initial.layout().num_local;
+  std::vector<Qubit> order(static_cast<std::size_t>(n));
+  for (int p = 0; p < n; ++p) order[p] = p;
+  for (int j = 0; j < n - L; ++j) std::swap(order[lo + j], order[L + j]);
+  exec::Layout target = initial.layout();
+  for (int p = 0; p < n; ++p) {
+    target.logical_of_phys[p] = order[p];
+    target.phys_of_logical[order[p]] = p;
+  }
+  RemapRow row;
+  row.moved = std::to_string(lo) + "-" + std::to_string(lo + n - L - 1);
+  const auto best_ms = [&](auto remap_fn, exec::DistState& out,
+                           device::CommStats& stats) {
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      out = initial;
+      Timer t;
+      stats = remap_fn(out, target, cluster);
+      best = std::min(best, t.seconds() * 1e3);
+    }
+    return best;
+  };
+  exec::DistState a, b;
+  device::CommStats sa, sb;
+  row.seed_ms = best_ms(seed_remap, a, sa);
+  row.new_ms = best_ms(exec::remap, b, sb);
+  row.identical = a.shards() == b.shards() && sa == sb;
+  const double state_bytes = static_cast<double>(initial.num_shards()) *
+                             static_cast<double>(initial.shard_size()) *
+                             sizeof(Amp);
+  row.gbps = 2.0 * state_bytes / (row.new_ms * 1e-3) / 1e9;
+  return row;
 }
 
 int run(bool smoke, const char* json_path) {
@@ -399,6 +571,41 @@ int run(bool smoke, const char* json_path) {
 
   std::printf("\ngeneral k-qubit geomean (k=2..5): %5.2fx\n", general_geomean);
 
+  // --- remap: the oneshot_table1 shape, 2 regional + 2 global bits, on
+  // a pool of hardware_concurrency threads.
+  std::vector<RemapRow> remaps;
+  double ceiling_gbps = 0;
+  {
+    const int L = smoke ? 14 : 17;
+    device::ClusterConfig cc;
+    cc.local_qubits = L;
+    cc.regional_qubits = 2;
+    cc.global_qubits = 2;
+    cc.gpus_per_node = 4;
+    const device::Cluster cluster(cc);
+    const int qubits = cc.total_qubits();
+    const exec::DistState initial = exec::DistState::scatter(
+        StateVector::random(qubits, 0xA71A5), exec::Layout::identity(qubits, L));
+    // The ceiling's buffer is remap's working set: source + destination.
+    ceiling_gbps = stream_gbps(cluster.pool(),
+                               2 * (sizeof(Amp) << qubits));
+    std::printf("\nremap n=%d L=%d, %d shards, %zu threads; stream ceiling "
+                "%.1f GB/s\n",
+                qubits, L, initial.num_shards(), cluster.pool().size(),
+                ceiling_gbps);
+    std::printf("%-28s %12s %12s %9s %8s %7s %6s\n", "remap bits moved",
+                "seed [ms]", "new [ms]", "speedup", "GB/s", "stream", "exact");
+    for (int lo : {0, 4, 10}) {
+      const RemapRow r = time_remap(initial, cluster, lo, smoke ? 2 : 5);
+      all_identical &= r.identical;
+      std::printf("%-28s %12.2f %12.2f %8.2fx %8.2f %6.1f%% %6s\n",
+                  ("remap bits " + r.moved).c_str(), r.seed_ms, r.new_ms,
+                  r.speedup(), r.gbps, 100 * r.gbps / ceiling_gbps,
+                  r.identical ? "yes" : "NO");
+      remaps.push_back(r);
+    }
+  }
+
   // --- end-to-end bit-identity gate: compile()+sweep() == simulate().
   bool e2e_identical = true;
   {
@@ -445,6 +652,19 @@ int run(bool smoke, const char* json_path) {
       std::fprintf(f, "%s\"%s\": %.3f", c == 0 ? "" : ", ", classes[c].name,
                    shm_ns[c]);
     std::fprintf(f, "},\n");
+    std::fprintf(f, "  \"stream_gbps\": %.3f,\n", ceiling_gbps);
+    std::fprintf(f, "  \"remap\": [");
+    for (std::size_t i = 0; i < remaps.size(); ++i) {
+      const RemapRow& r = remaps[i];
+      std::fprintf(f,
+                   "%s\n    {\"moved\": \"%s\", \"seed_ms\": %.3f, "
+                   "\"new_ms\": %.3f, \"speedup\": %.3f, \"gbps\": %.3f, "
+                   "\"stream_pct\": %.1f, \"exact\": %s}",
+                   i == 0 ? "" : ",", r.moved.c_str(), r.seed_ms, r.new_ms,
+                   r.speedup(), r.gbps, 100 * r.gbps / ceiling_gbps,
+                   r.identical ? "true" : "false");
+    }
+    std::fprintf(f, "\n  ],\n");
     std::fprintf(f, "  \"bit_identical\": %s\n}\n",
                  (all_identical && e2e_identical) ? "true" : "false");
     std::fclose(f);
@@ -460,6 +680,11 @@ int run(bool smoke, const char* json_path) {
   if (!smoke && general_geomean < 2.0) {
     std::printf("FAIL: general k-qubit apply speedup %.2fx < 2x target\n",
                 general_geomean);
+    return 1;
+  }
+  if (!smoke && remaps.front().speedup() < 3.0) {
+    std::printf("FAIL: bits 0-3 remap speedup %.2fx < 3x target\n",
+                remaps.front().speedup());
     return 1;
   }
   std::printf("check: all kernels bit-identical to seed loops — %s\n",

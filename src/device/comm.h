@@ -40,6 +40,7 @@ struct CommStats {
   int alltoall_rounds = 0;
 
   CommStats& operator+=(const CommStats& o);
+  bool operator==(const CommStats&) const = default;
 
   /// Modeled seconds spent communicating (intra + inter + offload).
   double modeled_comm_seconds(const CommCostModel& m, int gpus,

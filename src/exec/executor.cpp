@@ -39,7 +39,7 @@ DistState initial_state(const ExecutionPlan& plan,
   const Layout layout = Layout::for_partition(
       plan.stages.front().partition, cfg.local_qubits, cfg.regional_qubits,
       Layout::identity(cfg.total_qubits(), cfg.local_qubits));
-  return DistState::zero_state(layout);
+  return DistState::zero_state(layout, &cluster.pool());
 }
 
 std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
@@ -54,6 +54,9 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
   }
   static obs::Counter& runs = obs::counter(obs::names::kExecRuns);
   static obs::Histogram& stage_us = obs::histogram(obs::names::kExecStageUs);
+  static obs::Histogram& remap_us = obs::histogram(obs::names::kExecRemapUs);
+  static obs::Counter& remap_bytes =
+      obs::counter(obs::names::kExecRemapBytes);
   runs.add(points.size());
   Timer total_timer;
   std::vector<ExecutionReport> reports(points.size());
@@ -94,12 +97,16 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
 
       // SHARD: permute the point's state into the stage's partition.
       {
+        obs::TraceSpan remap_span(obs::names::kSpanExecRemap, stage_index);
         Timer t;
         const Layout target = Layout::for_partition(
             stage.partition, cfg.local_qubits, cfg.regional_qubits,
             state.layout());
         sr.stats += remap(state, target, cluster);
         sr.comm_seconds = t.seconds();
+        remap_us.observe(sr.comm_seconds * 1e6);
+        remap_bytes.add(sr.stats.intra_gpu_bytes + sr.stats.intra_node_bytes +
+                        sr.stats.inter_node_bytes);
       }
 
       // Kernels: bind the stage once per point — parameter

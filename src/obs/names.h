@@ -41,6 +41,10 @@ inline constexpr char kSkeletonCacheHits[] = "exec.skeleton_cache.hits";
 inline constexpr char kSkeletonCacheMisses[] = "exec.skeleton_cache.misses";
 /// KernelProgram materializations in bind_stage_program().
 inline constexpr char kExecKernelBinds[] = "exec.kernel_binds";
+/// Per-stage remap latency in execute_plan(): layout + exchange.
+inline constexpr char kExecRemapUs[] = "exec.remap_us";
+/// Bytes moved by remaps (intra-GPU + intra-node + inter-node).
+inline constexpr char kExecRemapBytes[] = "exec.remap_bytes";
 
 // --- parameters (ir/param.cpp) ----------------------------------------
 /// String-keyed ParamBinding lookups (at()/contains()).
@@ -80,6 +84,7 @@ inline constexpr char kSpanCompileProgram[] = "compile.program";
 inline constexpr char kSpanExecStage[] = "exec.stage";
 inline constexpr char kSpanExecBind[] = "exec.bind";
 inline constexpr char kSpanExecShard[] = "exec.shard";
+inline constexpr char kSpanExecRemap[] = "exec.remap";
 inline constexpr char kSpanNoiseBatch[] = "noise.batch";
 /// No longer emitted: device walks record exec.stage like every walk.
 inline constexpr char kSpanDeviceStage[] = "device.stage";

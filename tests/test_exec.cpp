@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "circuits/families.h"
+#include "common/rng.h"
 #include "core/atlas.h"
 #include "exec/partial_eval.h"
 #include "exec/remap.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "sim/reference.h"
 
 namespace atlas {
@@ -99,6 +104,140 @@ TEST(Remap, LocalOnlyShuffleStaysIntraGpu) {
   EXPECT_EQ(stats.intra_node_bytes, 0u);
   EXPECT_EQ(stats.inter_node_bytes, 0u);
   EXPECT_LT(st.gather().max_abs_diff(sv), kTol);
+}
+
+// --- Differential remap: exec::remap against scatter(gather) ---------
+
+/// Which physical positions a random remap moves: the low two, swapped
+/// with the top two (non-local when there are shards, so destination
+/// shard bits feed source bits [0, 2)); none of the low two (the memcpy
+/// run path); or any.
+enum class Moved { kLow, kRun, kMixed };
+
+/// perm[p] = the position of `before` that the target places at p.
+std::vector<int> random_position_perm(int n, Moved moved, Rng& rng) {
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (int i = n - 1; i > 0; --i)
+    std::swap(perm[i], perm[rng.index(static_cast<std::uint64_t>(i) + 1)]);
+  const auto put = [&](int p, int value) {
+    std::swap(perm[p], *std::find(perm.begin(), perm.end(), value));
+  };
+  for (int p = 0; p < std::min(2, n); ++p) {
+    if (moved == Moved::kRun) put(p, p);
+    if (moved == Moved::kLow && n - 1 - p > 1) {
+      put(p, n - 1 - p);
+      put(n - 1 - p, p);
+    }
+  }
+  return perm;
+}
+
+exec::Layout permuted(const exec::Layout& before, const std::vector<int>& perm,
+                      Index shard_xor) {
+  std::vector<Qubit> order;
+  for (int q : perm) order.push_back(before.logical_of_phys[q]);
+  exec::Layout l = layout_for(order, before.num_local);
+  l.shard_xor = shard_xor;
+  return l;
+}
+
+/// Per-amplitude reference metering: every amplitude's bytes, by the
+/// link between its shard under `from` and its shard under `to`; no
+/// bytes at all when no amplitude changes place.
+device::CommStats reference_metering(const exec::Layout& from,
+                                     const exec::Layout& to,
+                                     const device::Cluster& cluster) {
+  const auto place = [](const exec::Layout& l, Index logical) {
+    Index phys = 0;
+    for (int q = 0; q < l.num_qubits(); ++q)
+      if (test_bit(logical, q)) phys |= bit(l.phys_of_logical[q]);
+    return phys ^ (l.shard_xor << l.num_local);
+  };
+  device::CommStats stats;
+  bool moved = false;
+  for (Index i = 0; i < (Index{1} << from.num_qubits()); ++i) {
+    const Index a = place(from, i), b = place(to, i);
+    moved |= a != b;
+    const int s0 = static_cast<int>(a >> from.num_local);
+    const int s1 = static_cast<int>(b >> to.num_local);
+    if (s0 == s1) {
+      stats.intra_gpu_bytes += sizeof(Amp);
+    } else if (cluster.node_of_shard(s0) == cluster.node_of_shard(s1)) {
+      stats.intra_node_bytes += sizeof(Amp);
+    } else {
+      stats.inter_node_bytes += sizeof(Amp);
+    }
+  }
+  if (!moved) return {};
+  if (stats.intra_node_bytes + stats.inter_node_bytes > 0)
+    stats.alltoall_rounds = 1;
+  return stats;
+}
+
+TEST(Remap, MatchesScatterOfGatherOnRandomLayouts) {
+  // One and four pool threads: with four, destination shards are walked
+  // in groups only while a task per thread remains. Node = shard >> 1.
+  for (int threads : {1, 4}) {
+    device::ClusterConfig cc;
+    cc.local_qubits = 3;
+    cc.regional_qubits = 1;
+    cc.global_qubits = 2;
+    cc.gpus_per_node = 2;
+    cc.num_threads = threads;
+    const device::Cluster cluster(cc);
+    Rng rng(0x2E3A9 + static_cast<std::uint64_t>(threads));
+    // L=16 with shards reaches the >= 1 MiB first-touch path.
+    for (int L : {1, 2, 3, 5, 8, 16}) {
+      for (int nonlocal : {0, L == 16 ? 2 : 3}) {
+        const int n = L + nonlocal;
+        const Index xor_range = Index{1} << nonlocal;
+        for (Moved moved : {Moved::kLow, Moved::kRun, Moved::kMixed}) {
+          for (int trial = 0; trial < (L == 16 ? 1 : 2); ++trial) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads=" << threads << " L=" << L << " n=" << n
+                         << " moved=" << static_cast<int>(moved)
+                         << " trial=" << trial);
+            exec::Layout before =
+                layout_for(random_position_perm(n, Moved::kMixed, rng), L);
+            before.shard_xor = rng.index(xor_range);
+            const exec::Layout target =
+                permuted(before, random_position_perm(n, moved, rng),
+                         rng.index(xor_range));
+            exec::DistState st = exec::DistState::scatter(
+                StateVector::random(n, rng.index(1u << 30)), before);
+            exec::DistState expect =
+                exec::DistState::scatter(st.gather(), target);
+            const device::CommStats stats = exec::remap(st, target, cluster);
+            EXPECT_TRUE(st.shards() == expect.shards());
+            EXPECT_EQ(st.layout().shard_xor, target.shard_xor);
+            const device::CommStats ref =
+                reference_metering(before, target, cluster);
+            EXPECT_EQ(stats.intra_gpu_bytes, ref.intra_gpu_bytes);
+            EXPECT_EQ(stats.intra_node_bytes, ref.intra_node_bytes);
+            EXPECT_EQ(stats.inter_node_bytes, ref.inter_node_bytes);
+            EXPECT_EQ(stats.alltoall_rounds, ref.alltoall_rounds);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistState, PooledZeroStateMatchesSerial) {
+  // 16 KiB shards (zero-filled on the caller) and 1 MiB shards (one pool
+  // task each); shard_xor = 2 puts amplitude 0 in shard 2.
+  ThreadPool pool(4);
+  for (int L : {10, 16}) {
+    std::vector<Qubit> order(static_cast<std::size_t>(L + 2));
+    for (int p = 0; p < L + 2; ++p) order[p] = (p + 5) % (L + 2);
+    exec::Layout layout = layout_for(order, L);
+    layout.shard_xor = 2;
+    exec::DistState pooled = exec::DistState::zero_state(layout, &pool);
+    exec::DistState serial = exec::DistState::zero_state(layout);
+    EXPECT_TRUE(pooled.shards() == serial.shards()) << "L=" << L;
+    EXPECT_EQ(serial.shard(2)[0], Amp(1, 0)) << "L=" << L;
+  }
 }
 
 TEST(PartialEval, NonLocalControlSkipsOrDrops) {
@@ -231,6 +370,22 @@ TEST(EndToEnd, ReportAccounting) {
   EXPECT_GT(modeled, 0.0);
 }
 
+TEST(EndToEnd, RemapMetricsMatchReport) {
+  // One exec.remap_us observation per stage, and exec.remap_bytes grows
+  // by exactly the run's metered exchange.
+  obs::Counter& bytes = obs::counter(obs::names::kExecRemapBytes);
+  obs::Histogram& us = obs::histogram(obs::names::kExecRemapUs);
+  const std::uint64_t bytes_before = bytes.value();
+  const std::uint64_t count_before = us.count();
+  const Simulator sim(small_config(11, 8, 2, 1, 4));
+  const SimulationResult r = sim.simulate(circuits::su2random(11));
+  const device::CommStats& t = r.report.totals;
+  EXPECT_EQ(bytes.value() - bytes_before,
+            t.intra_gpu_bytes + t.intra_node_bytes + t.inter_node_bytes);
+  ASSERT_GT(r.report.stages.size(), 1u);
+  EXPECT_EQ(us.count() - count_before, r.report.stages.size());
+}
+
 TEST(EndToEnd, PlanIsReusableAcrossRuns) {
   const int n = 10;
   const Circuit c = circuits::ising(n);
@@ -241,6 +396,17 @@ TEST(EndToEnd, PlanIsReusableAcrossRuns) {
   sim.execute(plan, s1);
   sim.execute(plan, s2);
   EXPECT_LT(s1.gather().max_abs_diff(s2.gather()), kTol);
+}
+
+TEST(DistState, InitialStateMatchesSerialZeroState) {
+  // 8 KiB and 1 MiB shards through a compiled plan's first layout.
+  for (int L : {9, 16}) {
+    const Simulator sim(small_config(L + 2, L, 1, 1, 2));
+    const exec::ExecutionPlan plan = sim.plan(circuits::ghz(L + 2));
+    exec::DistState pooled = exec::initial_state(plan, sim.cluster());
+    exec::DistState serial = exec::DistState::zero_state(pooled.layout());
+    EXPECT_TRUE(pooled.shards() == serial.shards()) << "L=" << L;
+  }
 }
 
 TEST(EndToEnd, XGateOnGlobalQubitViaShardXor) {

@@ -7,27 +7,92 @@
 // well below 1 on most families (paper geomean 0.583), ~1.0 on dj and
 // qsvm (where greedy is already good), and the DP never loses to the
 // ordered variant (Theorem 6).
+//
+// A second table times the DP the way the planner runs it: over the
+// stage subcircuits Session::plan builds for each family at n=21
+// (L=17, R=2, G=2, the oneshot_table1 shape), T=500. It prints the DP
+// milliseconds per family (best of 3), the successor states the DP
+// offered (the kernelize.dp_states counter, one repetition) and a plan
+// fingerprint: an FNV hash over every stage's kernel types, gate
+// indices and cost bits plus its total_cost bits, so two builds can be
+// diffed for identical plans.
+//
+// Usage: bench_kernelize [--smoke] [--json PATH] [max_qubits]
+//   --smoke  Figure 10 at 14 qubits only and the stage table at n=16
+//            (L=12), a few seconds;
+//   --json   writes the stage table (and the Figure 10 geomeans) to
+//            PATH, e.g. BENCH_kernelize.json.
+// Exits 1 if any kernelization it builds fails validate_kernelization.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+#include "common/fnv.h"
 #include "common/timer.h"
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
 #include "kernelize/ordered.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "util.h"
 
-int main(int argc, char** argv) {
-  using namespace atlas;
-  using namespace atlas::kernelize;
-  const int n_lo = 28, n_hi = argc > 1 ? std::atoi(argv[1]) : 36;
+namespace atlas::bench {
+namespace {
 
-  bench::print_header(
+using namespace atlas::kernelize;
+
+/// Folds a kernelization into `f`: each kernel's type, gate indices
+/// and cost bits, then the total cost bits.
+void mix_plan(Fnv& f, const Kernelization& k) {
+  for (const Kernel& kernel : k.kernels) {
+    f.mix(static_cast<std::uint64_t>(kernel.type));
+    f.mix(kernel.gate_indices.size());
+    for (int gi : kernel.gate_indices) f.mix(static_cast<std::uint64_t>(gi));
+    f.mix_double(kernel.cost);
+  }
+  f.mix_double(k.total_cost);
+}
+
+/// False (and a printed reason) if `k` is not a valid kernelization.
+bool valid(const Circuit& c, const Kernelization& k, const CostModel& model,
+           const std::string& what) {
+  try {
+    validate_kernelization(c, k, model);
+    return true;
+  } catch (const Error& e) {
+    std::printf("INVALID: %s: %s\n", what.c_str(), e.what());
+    return false;
+  }
+}
+
+struct FamilyRel {
+  std::string family;
+  double rel = 0;
+};
+
+struct StageRow {
+  std::string family;
+  std::size_t stages = 0;
+  double dp_ms = 0;
+  std::uint64_t states = 0;
+  std::uint64_t fingerprint = 0;
+};
+
+int run(bool smoke, const char* json_path, int n_hi_arg) {
+  const int n_lo = smoke ? 14 : 28;
+  const int n_hi = smoke ? 14 : (n_hi_arg > 0 ? n_hi_arg : 36);
+  bool ok = true;
+
+  print_header(
       "Figure 10 + Figs. 14-24/26-36 — kernelization effectiveness",
       "11 families x 28-36 qubits, T=500, measured on a Xeon W-1350",
-      "same circuits and pruning threshold on this host");
+      smoke ? "11 families x 14 qubits (smoke), T=500 on this host"
+            : "same circuits and pruning threshold on this host");
 
   const CostModel model = CostModel::default_model();
   DpOptions dp_opt;
@@ -41,6 +106,7 @@ int main(int argc, char** argv) {
       {"vqc", 0.423},       {"wstate", 0.686}};
 
   std::vector<double> all_rel;
+  std::vector<FamilyRel> family_rels;
   std::printf("\n%-11s %8s | %10s %10s %10s | %9s %9s | %8s %8s\n", "family",
               "qubits", "greedy", "ordered", "dp", "dp_t(s)", "ord_t(s)",
               "rel", "paper");
@@ -48,13 +114,20 @@ int main(int argc, char** argv) {
     std::vector<double> rels;
     for (int n = n_lo; n <= n_hi; ++n) {
       const Circuit c = circuits::make_family(family, n);
-      const double greedy = kernelize_greedy(c, model).total_cost;
+      const std::string at = family + "@" + std::to_string(n);
+      const Kernelization greedy_k = kernelize_greedy(c, model);
       Timer to;
-      const double ordered = kernelize_ordered(c, model).total_cost;
+      const Kernelization ordered_k = kernelize_ordered(c, model);
       const double t_ord = to.seconds();
       Timer td;
-      const double dp = kernelize_dp(c, model, dp_opt).total_cost;
+      const Kernelization dp_k = kernelize_dp(c, model, dp_opt);
       const double t_dp = td.seconds();
+      ok &= valid(c, greedy_k, model, "greedy " + at);
+      ok &= valid(c, ordered_k, model, "ordered " + at);
+      ok &= valid(c, dp_k, model, "dp " + at);
+      const double greedy = greedy_k.total_cost;
+      const double ordered = ordered_k.total_cost;
+      const double dp = dp_k.total_cost;
       const double rel = dp / greedy;
       rels.push_back(rel);
       all_rel.push_back(rel);
@@ -65,17 +138,128 @@ int main(int argc, char** argv) {
                     "");
       }
       if (dp > ordered + 1e-6)
-        std::printf("  note: ordered beats the DP by %.1f%% on %s@%d (an "
+        std::printf("  note: ordered beats the DP by %.1f%% on %s (an "
                     "artifact of the single-qubit attachment heuristic, "
                     "Appendix B-d; the production planner takes the min)\n",
-                    100.0 * (dp - ordered) / ordered, family.c_str(), n);
+                    100.0 * (dp - ordered) / ordered, at.c_str());
     }
-    std::printf("%-11s %8s | %*s geomean rel = %.3f   (paper %.3f)\n",
-                family.c_str(), "28-36", 44, "", bench::geomean(rels),
+    family_rels.push_back({family, geomean(rels)});
+    std::printf("%-11s %5d-%-2d | %*s geomean rel = %.3f   (paper %.3f)\n",
+                family.c_str(), n_lo, n_hi, 44, "", geomean(rels),
                 paper_rel.at(family));
   }
+  const double overall_rel = geomean(all_rel);
   std::printf("\noverall geomean relative cost (Atlas/greedy): %.3f   "
               "(paper 0.583)\n",
-              bench::geomean(all_rel));
+              overall_rel);
+
+  // --- The DP over the planner's stage subcircuits --------------------
+  const int stage_n = smoke ? 16 : 21;
+  const int reps = smoke ? 1 : 3;
+  SessionConfig cfg;
+  cfg.cluster.local_qubits = stage_n - 4;
+  cfg.cluster.regional_qubits = 2;
+  cfg.cluster.global_qubits = 2;
+  cfg.cluster.gpus_per_node = 4;
+  cfg.cluster.num_threads = 1;
+  const Session session(cfg);
+  std::printf("\nDP over Session::plan stage subcircuits at n=%d (L=%d, R=2, "
+              "G=2), T=%d, best of %d\n",
+              stage_n, stage_n - 4, dp_opt.prune_threshold, reps);
+  std::printf("%-11s %7s %10s %10s  %s\n", "family", "stages", "dp_ms",
+              "states", "fingerprint");
+  const obs::Counter& dp_states =
+      obs::counter(obs::names::kKernelizeDpStates);
+  std::vector<StageRow> rows;
+  double total_ms = 0;
+  for (const auto& family : circuits::family_names()) {
+    const auto plan = session.plan(circuits::make_family(family, stage_n));
+    StageRow row;
+    row.family = family;
+    row.stages = plan->stages.size();
+    row.dp_ms = 1e300;
+    for (int rep = 0; rep < reps; ++rep) {
+      const std::uint64_t states_before = dp_states.value();
+      Fnv f;
+      double ms = 0;
+      for (std::size_t s = 0; s < plan->stages.size(); ++s) {
+        const Circuit& sub = plan->stages[s].subcircuit;
+        Timer t;
+        const Kernelization k = kernelize_dp(sub, model, dp_opt);
+        ms += t.seconds() * 1e3;
+        if (rep == 0)
+          ok &= valid(sub, k, model,
+                      "dp " + family + " stage " + std::to_string(s));
+        mix_plan(f, k);
+      }
+      if (rep == 0) row.states = dp_states.value() - states_before;
+      row.dp_ms = std::min(row.dp_ms, ms);
+      row.fingerprint = f.value();
+    }
+    total_ms += row.dp_ms;
+    std::printf("%-11s %7zu %10.1f %10llu  0x%016llx\n", family.c_str(),
+                row.stages, row.dp_ms,
+                static_cast<unsigned long long>(row.states),
+                static_cast<unsigned long long>(row.fingerprint));
+    rows.push_back(row);
+  }
+  std::printf("%-11s %7s %10.1f\n", "total", "", total_ms);
+
+  if (json_path != nullptr) {
+    std::FILE* f = std::fopen(json_path, "w");
+    if (f == nullptr) {
+      std::printf("FAIL: cannot write %s\n", json_path);
+      return 1;
+    }
+    std::fprintf(f, "{\n  \"bench\": \"kernelize\",\n  \"smoke\": %s,\n",
+                 smoke ? "true" : "false");
+    std::fprintf(f, "  \"prune_threshold\": %d,\n", dp_opt.prune_threshold);
+    std::fprintf(f, "  \"fig10_qubits\": [%d, %d],\n", n_lo, n_hi);
+    std::fprintf(f, "  \"fig10_geomean_rel\": %.6f,\n", overall_rel);
+    std::fprintf(f, "  \"fig10\": [\n");
+    for (std::size_t i = 0; i < family_rels.size(); ++i)
+      std::fprintf(f, "    {\"family\": \"%s\", \"geomean_rel\": %.6f}%s\n",
+                   family_rels[i].family.c_str(), family_rels[i].rel,
+                   i + 1 < family_rels.size() ? "," : "");
+    std::fprintf(f, "  ],\n  \"stage_qubits\": %d,\n", stage_n);
+    std::fprintf(f, "  \"stage_dp_total_ms\": %.3f,\n", total_ms);
+    std::fprintf(f, "  \"stage_dp\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      std::fprintf(f,
+                   "    {\"family\": \"%s\", \"stages\": %zu, \"dp_ms\": "
+                   "%.3f, \"states\": %llu, \"fingerprint\": "
+                   "\"0x%016llx\"}%s\n",
+                   rows[i].family.c_str(), rows[i].stages, rows[i].dp_ms,
+                   static_cast<unsigned long long>(rows[i].states),
+                   static_cast<unsigned long long>(rows[i].fingerprint),
+                   i + 1 < rows.size() ? "," : "");
+    std::fprintf(f, "  ],\n  \"valid\": %s\n}\n", ok ? "true" : "false");
+    std::fclose(f);
+    std::printf("wrote %s\n", json_path);
+  }
+
+  if (!ok) {
+    std::printf("FAIL: a kernelization failed validate_kernelization\n");
+    return 1;
+  }
+  std::printf("%s\n", smoke ? "SMOKE PASS" : "PASS");
   return 0;
+}
+
+}  // namespace
+}  // namespace atlas::bench
+
+int main(int argc, char** argv) {
+  bool smoke = false;
+  const char* json_path = nullptr;
+  int n_hi = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0)
+      smoke = true;
+    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+      json_path = argv[++i];
+    else
+      n_hi = std::atoi(argv[i]);
+  }
+  return atlas::bench::run(smoke, json_path, n_hi);
 }

@@ -2,9 +2,9 @@
 
 /// \file util.h
 /// Shared helpers for the benchmark harnesses. Every bench binary
-/// regenerates one table or figure of the paper (see DESIGN.md's
-/// per-experiment index) at a scale that fits this host; each prints a
-/// header stating the substitution (paper scale -> bench scale).
+/// regenerates one table or figure of the paper at a scale that fits
+/// the host; each prints a header stating the substitution (paper
+/// scale -> bench scale).
 
 #include <cmath>
 #include <cstdio>

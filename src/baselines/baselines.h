@@ -2,10 +2,10 @@
 
 /// \file baselines.h
 /// Reimplementations of the comparison systems' partitioning and
-/// execution *strategies* on the Atlas substrate (see DESIGN.md for
-/// the fidelity argument). Holding the simulation substrate fixed
-/// isolates exactly what the paper's end-to-end comparison measures:
-/// the quality of circuit staging and kernelization.
+/// execution *strategies* on the Atlas substrate. Holding the
+/// simulation substrate fixed isolates exactly what the paper's
+/// end-to-end comparison measures: the quality of circuit staging and
+/// kernelization.
 ///
 ///  * Qiskit-like    — heuristic (SnuQS-style) staging, one kernel
 ///                     launch per gate, no fusion.

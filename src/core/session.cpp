@@ -49,7 +49,6 @@ std::uint64_t engine_salt_of(const SessionConfig& config) {
                  long{st.bnb.max_stages}, long{st.bnb.beam_width},
                  long{st.bnb.max_solutions}, st.bnb.node_budget,
                  long{config.kernelize.prune_threshold},
-                 long{config.kernelize.also_try_ordered},
                  long{cm.max_fusion_qubits}, long{cm.max_shm_qubits}})
     f.mix(static_cast<std::uint64_t>(v));
   for (double v : cm.fusion_cost) f.mix_double(v);

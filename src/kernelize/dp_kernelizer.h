@@ -15,10 +15,24 @@
 /// pruned to a threshold T by post-processed cost (Section VI-B,
 /// optimization f).
 ///
+/// State representation: a state is its open kernels, its committed
+/// cost and the head of its closed-kernel chain. An open kernel is a
+/// plain record (qubit and extensible masks, width, type, accumulated
+/// shared-memory cost) whose items are a chain of links in an item
+/// trail the DP owns; a closed kernel is a record in a closed trail,
+/// also DP-owned, linked to the state's previous closed kernel. Trail
+/// links are immutable, so successors share their parent's chains and
+/// a transition appends one link instead of copying item lists. The
+/// frontier's keys and open kernels live in per-step bump storage, so
+/// a successor costs no allocation beyond its hash-map node. Pruning
+/// scores states from masks and costs alone; item lists are walked
+/// only when the final candidates are reconstructed.
+///
 /// Implemented optimizations from Appendix B: subsumption transitions
 /// (b), single-qubit attachment (d), greedy post-processing packing
 /// (e), and threshold pruning (f). The insular-qubit constraint
-/// lifting (a) is not implemented; see DESIGN.md.
+/// lifting (a) is not implemented: every qubit of a gate, insular or
+/// not, counts toward its kernel's qubit set and extensibility checks.
 
 #include "ir/circuit.h"
 #include "kernelize/cost_model.h"
@@ -29,11 +43,6 @@ namespace atlas::kernelize {
 struct DpOptions {
   /// Pruning threshold T (Appendix B-f); the paper uses 500.
   int prune_threshold = 500;
-  /// kernelize_best() only: also run ORDEREDKERNELIZE and keep the
-  /// cheaper result. The ordered pass costs O(|C|^2) and beats the DP
-  /// only in rare shallow-circuit corner cases (Appendix B-d); turn it
-  /// off to skip that work on hot planning paths.
-  bool also_try_ordered = true;
 };
 
 /// Kernelizes `circuit` (typically one stage's subcircuit) minimizing

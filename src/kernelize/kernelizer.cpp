@@ -59,7 +59,6 @@ KernelizerRegistry& kernelizer_registry() {
 Kernelization kernelize_best(const Circuit& circuit, const CostModel& model,
                              const DpOptions& options) {
   Kernelization dp = kernelize_dp(circuit, model, options);
-  if (!options.also_try_ordered) return dp;
   Kernelization ordered = kernelize_ordered(circuit, model);
   return dp.total_cost <= ordered.total_cost ? std::move(dp)
                                              : std::move(ordered);

@@ -11,12 +11,13 @@
 ///  * "greedy"  — the greedy fusion baseline (Section VII-E)
 ///  * "best"    — kernelize_best(), the production default
 ///
-/// kernelize_best runs the DP and, when DpOptions::also_try_ordered is
-/// set (the default), also the ordered variant, returning the cheaper
-/// result. The DP's single-qubit *attachment* preprocessing (Appendix
-/// B-d) is a heuristic that can very occasionally cede a fraction of a
-/// percent to the ordered DP on shallow circuits; taking the min
-/// restores Theorem 6 unconditionally for the planner.
+/// kernelize_best runs the DP and the ordered variant and returns the
+/// cheaper result. The DP's single-qubit *attachment* preprocessing
+/// (Appendix B-d) is a heuristic that can very occasionally cede a
+/// fraction of a percent to the ordered DP on shallow circuits; taking
+/// the min restores Theorem 6 unconditionally for the planner. The
+/// ordered pass costs a small fraction of the DP, so it always runs;
+/// the "dp" engine is the DP alone.
 
 #include <memory>
 #include <string>
@@ -53,8 +54,8 @@ using KernelizerRegistry = Registry<Kernelizer>;
 /// be added any time with kernelizer_registry().add(name, factory).
 KernelizerRegistry& kernelizer_registry();
 
-/// Production default: the DP, plus the ordered pass when
-/// `options.also_try_ordered` — see the file comment.
+/// Production default: the cheaper of the DP and the ordered pass — see
+/// the file comment.
 Kernelization kernelize_best(const Circuit& circuit, const CostModel& model,
                              const DpOptions& options = {});
 

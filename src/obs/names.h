@@ -29,6 +29,10 @@ inline constexpr char kCompileStageUs[] = "compile.phase_us.stage";
 inline constexpr char kCompileKernelizeUs[] = "compile.phase_us.kernelize";
 inline constexpr char kCompileProgramUs[] = "compile.phase_us.program";
 
+// --- kernelization (kernelize/dp_kernelizer.cpp) ----------------------
+/// Successor states the KERNELIZE DP offered to its frontiers.
+inline constexpr char kKernelizeDpStates[] = "kernelize.dp_states";
+
 // --- per-session structural plan cache (core/session.cpp) -------------
 inline constexpr char kPlanCacheHits[] = "core.plan_cache.hits";
 inline constexpr char kPlanCacheMisses[] = "core.plan_cache.misses";

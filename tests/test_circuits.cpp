@@ -24,7 +24,7 @@ TEST_P(TableICountTest, MatchesPaperTableI) {
 }
 
 // The families whose MQT-Bench gate counts our constructions match
-// exactly (see DESIGN.md for the remaining families' deltas).
+// exactly (bench_circuit_table prints the remaining families' deltas).
 INSTANTIATE_TEST_SUITE_P(
     ExactFamilies, TableICountTest,
     ::testing::Values(CountCase{"ghz", 28, 28}, CountCase{"ghz", 36, 36},

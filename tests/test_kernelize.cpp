@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <string>
 
 #include "circuits/families.h"
 #include "common/bits.h"
+#include "common/fnv.h"
 #include "kernelize/attach.h"
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
@@ -242,6 +245,82 @@ TEST(Kernelize, HhlManyGatesFewQubitsCompletes) {
   validate_kernelization(c, dp, m);
   const Kernelization ordered = kernelize_ordered(c, m);
   EXPECT_LE(dp.total_cost, ordered.total_cost + 1e-9);
+}
+
+// Plan identity: the DP's search (transitions, summation order, the
+// frontier's iteration order that prune() and the final ranking break
+// ties by) is pinned by fingerprints of its output. A fingerprint
+// folds each kernel's type, gate indices and cost bits, then the bits
+// of total_cost. T = 16 prunes on nearly every step, so it pins the
+// tie-breaking; T = 500 is the paper's threshold. The expected values
+// were recorded from the DP before its allocation-free rewrite; a
+// deliberate plan change (a new cost model, say) must update them and
+// say so in CHANGES.md.
+std::uint64_t plan_fingerprint(const Kernelization& k) {
+  Fnv f;
+  for (const Kernel& kernel : k.kernels) {
+    f.mix(static_cast<std::uint64_t>(kernel.type));
+    f.mix(kernel.gate_indices.size());
+    for (int gi : kernel.gate_indices) f.mix(static_cast<std::uint64_t>(gi));
+    f.mix_double(kernel.cost);
+  }
+  f.mix_double(k.total_cost);
+  return f.value();
+}
+
+TEST(Kernelize, DpPlansMatchParentFingerprints) {
+  struct Case {
+    std::string name;
+    Circuit circuit;
+    std::uint64_t at_t500, at_t16;
+  };
+  const std::uint64_t kRandom[8][2] = {
+      {0xc660c2d19d05981e, 0xaf6137b05e004e5b},
+      {0x18c912455ba6b8ea, 0xc83e3ae062d23deb},
+      {0xbbde2992cb3d7787, 0xa302c3f44696194e},
+      {0xd2e1d75750d96864, 0x7fdba354a7109201},
+      {0x853a89fcaa37183, 0xed4afa9e7a3c9667},
+      {0x5c4beb9ee4778133, 0x134674c6b2545c53},
+      {0x5073c472e2ffe7e5, 0xd35a4504ac726ce8},
+      {0x42719e01246d5797, 0x9927e586905e12b0},
+  };
+  const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      kFamilies = {
+          {"ae", {0xdfbcf26d9096d047, 0x6563f83aed494a9}},
+          {"dj", {0x68b170932932f39e, 0x68b170932932f39e}},
+          {"ghz", {0xf251996204ec29c4, 0x4e65805abd5b1f44}},
+          {"graphstate", {0x9c24e223fe0528e2, 0x23000a162a7dfc90}},
+          {"ising", {0xc7edf72df313d9dd, 0xc7edf72df313d9dd}},
+          {"qft", {0x78fcd1c0870095d6, 0xf634a7c3044e1c0}},
+          {"qpeexact", {0xac778bb11b04b692, 0x2c642a6477d3e6ab}},
+          {"qsvm", {0xb3ce92de055cd05d, 0xb3ce92de055cd05d}},
+          {"su2random", {0x4eeb8e2d6bff95bf, 0x701f9a8c6a48c698}},
+          {"vqc", {0xe389278c69dc4a34, 0x184331a1ac7fed89}},
+          {"wstate", {0x19f3bca994a4c2cd, 0x73d154dd903936a0}},
+      };
+  std::vector<Case> cases;
+  for (const std::string& family : circuits::family_names()) {
+    const auto& [t500, t16] = kFamilies.at(family);
+    cases.push_back({family, circuits::make_family(family, 14), t500, t16});
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    cases.push_back({"random seed " + std::to_string(seed),
+                     circuits::random_circuit(10, 150, seed),
+                     kRandom[seed - 1][0], kRandom[seed - 1][1]});
+  ASSERT_EQ(cases.size(), 19u);
+
+  const CostModel m = CostModel::default_model();
+  for (const Case& c : cases) {
+    for (const auto& [threshold, expected] :
+         {std::pair{500, c.at_t500}, std::pair{16, c.at_t16}}) {
+      DpOptions opt;
+      opt.prune_threshold = threshold;
+      const Kernelization k = kernelize_dp(c.circuit, m, opt);
+      EXPECT_EQ(plan_fingerprint(k), expected)
+          << c.name << " at T=" << threshold << ": 0x" << std::hex
+          << plan_fingerprint(k);
+    }
+  }
 }
 
 }  // namespace

@@ -642,19 +642,25 @@ TEST(ExecutorBackend, InMemoryRefusesOffloadClusters) {
             amplitudes(r));
 }
 
-// --- kernelize_best toggle ----------------------------------------------
+// --- kernelize_best ------------------------------------------------------
 
-TEST(KernelizeBest, AlsoTryOrderedToggleKeepsValidity) {
-  const Circuit c = circuits::qft(7);
+TEST(KernelizeBest, NeverWorseThanDpOrOrdered) {
   const auto model = kernelize::CostModel::default_model();
-  kernelize::DpOptions opts;
-  opts.also_try_ordered = false;
-  const auto dp_only = kernelize::kernelize_best(c, model, opts);
-  kernelize::validate_kernelization(c, dp_only, model);
-  opts.also_try_ordered = true;
-  const auto both = kernelize::kernelize_best(c, model, opts);
-  // Taking the min over an extra candidate can only help.
-  EXPECT_LE(both.total_cost, dp_only.total_cost);
+  const kernelize::DpOptions opts;
+  auto& registry = kernelize::kernelizer_registry();
+  const auto best = registry.create("best");
+  const auto dp = registry.create("dp");
+  const auto ordered = registry.create("ordered");
+  for (const Circuit& c :
+       {circuits::qft(7), circuits::make_family("ghz", 9),
+        circuits::random_circuit(6, 40, 3)}) {
+    const auto b = best->kernelize(c, model, opts);
+    kernelize::validate_kernelization(c, b, model);
+    const double d = dp->kernelize(c, model, opts).total_cost;
+    const double o = ordered->kernelize(c, model, opts).total_cost;
+    // The min of the two candidates, bit for bit.
+    EXPECT_EQ(b.total_cost, std::min(d, o));
+  }
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   for (int nl = 0; nl <= 6; ++nl) {
     double total = 0, comm = 0;
     for (const auto& family : circuits::family_names()) {
-      const SimulatorConfig cfg = bench::scaled_config(local, nl);
+      const SessionConfig cfg = bench::scaled_config(local, nl);
       const Circuit c = circuits::make_family(family, local + nl);
       const auto run = bench::run_atlas(c, cfg);
       total += run.projected_seconds;

@@ -79,7 +79,7 @@ double figure7(int local) {
   std::vector<double> speedups;
   for (int extra = 0; extra <= 4; ++extra) {
     const int n = local + extra;
-    SimulatorConfig cfg;
+    SessionConfig cfg;
     cfg.cluster.local_qubits = local;
     cfg.cluster.regional_qubits = extra;  // all non-local shards in DRAM
     cfg.cluster.global_qubits = 0;

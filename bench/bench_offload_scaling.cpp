@@ -54,7 +54,7 @@ void figure8(int local) {
               "atlas scaling");
   double atlas_1gpu = 0;
   for (int gpus : {1, 2, 4}) {
-    SimulatorConfig cfg;
+    SessionConfig cfg;
     cfg.cluster.local_qubits = local;
     cfg.cluster.regional_qubits = 4;
     cfg.cluster.global_qubits = 0;
@@ -62,8 +62,8 @@ void figure8(int local) {
     cfg.cluster.num_threads = gpus;
     const Circuit c = circuits::qft(n);
 
-    Simulator sim(cfg);
-    const auto r = sim.simulate(c);
+    const Session session(cfg);
+    const auto r = session.simulate(c);
     // With g GPUs sharing the swap link and the kernel work, the
     // modeled time divides the per-stage work across them.
     const double modeled = r.report.modeled_seconds(cfg.comm, gpus, 1);

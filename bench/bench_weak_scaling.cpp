@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < nonlocal_counts.size(); ++i) {
       const int nl = nonlocal_counts[i];
       const int n = local + nl;
-      const SimulatorConfig cfg = bench::scaled_config(local, nl);
+      const SessionConfig cfg = bench::scaled_config(local, nl);
       const Circuit c = circuits::make_family(family, n);
 
       const auto atlas_run = bench::run_atlas(c, cfg);

@@ -13,7 +13,7 @@
 
 #include "baselines/baselines.h"
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 
 namespace atlas::bench {
 
@@ -27,9 +27,8 @@ inline double geomean(const std::vector<double>& xs) {
 /// Machine config mirroring the paper's: 4 GPUs per node, `nonlocal`
 /// qubits split regional-first (at most 2 regional, as in Section
 /// VII-B), the rest global.
-inline SimulatorConfig scaled_config(int local, int nonlocal,
-                                     int threads = 1) {
-  SimulatorConfig cfg;
+inline SessionConfig scaled_config(int local, int nonlocal, int threads = 1) {
+  SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = std::min(2, nonlocal);
   cfg.cluster.global_qubits = nonlocal - cfg.cluster.regional_qubits;
@@ -58,7 +57,7 @@ struct RunOutcome {
 };
 
 inline RunOutcome make_outcome(const exec::ExecutionReport& report,
-                               const SimulatorConfig& cfg,
+                               const SessionConfig& cfg,
                                std::size_t stages) {
   const int gpus = cfg.cluster.num_nodes() * cfg.cluster.gpus_per_node;
   const int nodes = cfg.cluster.num_nodes();
@@ -80,14 +79,14 @@ inline RunOutcome make_outcome(const exec::ExecutionReport& report,
   return out;
 }
 
-inline RunOutcome run_atlas(const Circuit& c, const SimulatorConfig& cfg) {
-  Simulator sim(cfg);
-  const SimulationResult r = sim.simulate(c);
+inline RunOutcome run_atlas(const Circuit& c, const SessionConfig& cfg) {
+  const Session session(cfg);
+  const SimulationResult r = session.simulate(c);
   return make_outcome(r.report, cfg, r.plan->stages.size());
 }
 
 inline RunOutcome run_base(baselines::BaselineKind kind, const Circuit& c,
-                           const SimulatorConfig& cfg) {
+                           const SessionConfig& cfg) {
   const auto r = baselines::run_baseline(kind, c, cfg);
   return make_outcome(r.report, cfg, r.plan.stages.size());
 }

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "exec/queries.h"
 #include "opt/rewrite.h"
 #include "qasm/qasm.h"
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const int shots = arg_int(argc, argv, "--shots", 8);
   const int seed = arg_int(argc, argv, "--seed", 1);
 
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
               cfg.cluster.offloading() ? " [DRAM offloading]" : "");
 
   try {
-    Simulator sim(cfg);
-    const SimulationResult r = sim.simulate(circuit);
+    const Session session(cfg);
+    const SimulationResult r = session.simulate(circuit);
     std::printf("plan: %zu stage(s), staging cost %.1f, kernel cost %.2f\n",
                 r.plan->stages.size(), r.plan->staging_comm_cost,
                 r.plan->kernel_cost_total);

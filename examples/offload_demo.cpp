@@ -10,7 +10,7 @@
 
 #include "baselines/baselines.h"
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
 
   // One node, one physical GPU holding 2^(n-3) amplitudes; the full
   // 2^n state lives in DRAM as 8 shards.
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = n - 3;
   cfg.cluster.regional_qubits = 3;
   cfg.cluster.global_qubits = 0;
@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   std::printf("qft %d qubits with DRAM offloading (GPU holds 1/8 of the "
               "state)\n\n", n);
 
-  Simulator sim(cfg);
-  const SimulationResult atlas_result = sim.simulate(circuit);
+  const Session session(cfg);
+  const SimulationResult atlas_result = session.simulate(circuit);
   const auto qdao = baselines::run_baseline(baselines::BaselineKind::Qdao,
                                             circuit, cfg);
 

@@ -13,7 +13,7 @@
 
 #include "baselines/baselines.h"
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "qasm/qasm.h"
 #include "staging/snuqs.h"
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const int regional = std::min(2, circuit.num_qubits() - local);
   const int global = circuit.num_qubits() - local - regional;
 
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   std::printf("machine: L=%d R=%d G=%d (%d GPUs on %d nodes)\n\n", local,
               regional, global, (1 << (regional + global)), 1 << global);
 
-  Simulator sim(cfg);
-  const exec::ExecutionPlan plan = sim.plan(circuit);
+  const Session session(cfg);
+  const exec::ExecutionPlan plan = *session.plan(circuit);
 
   std::printf("=== Atlas staging: %zu stages, comm cost %.1f ===\n",
               plan.stages.size(), plan.staging_comm_cost);

@@ -9,7 +9,7 @@
 #include <cstdlib>
 
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = n - 4;
   cfg.cluster.regional_qubits = 2;
   cfg.cluster.global_qubits = 2;
@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   for (const Gate& g : fwd.gates()) round_trip.add(g);
   for (const Gate& g : inv.gates()) round_trip.add(g);
 
-  Simulator sim(cfg);
+  const Session session(cfg);
   std::printf("qft+iqft on %d qubits (%d gates), 16 virtual GPUs...\n", n,
               round_trip.num_gates());
-  SimulationResult result = sim.simulate(round_trip);
+  SimulationResult result = session.simulate(round_trip);
 
   const StateVector sv = result.state.gather();
   const double p0 = std::norm(sv[0]);

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/atlas.h"
+#include "core/session.h"
 #include "ir/gate.h"
 
 int main() {

@@ -98,7 +98,7 @@ const char* baseline_name(BaselineKind kind) {
 }
 
 exec::ExecutionPlan plan_baseline(BaselineKind kind, const Circuit& circuit,
-                                  const SimulatorConfig& config) {
+                                  const SessionConfig& config) {
   const auto& cc = config.cluster;
   ATLAS_CHECK(circuit.num_qubits() == cc.total_qubits(),
               "circuit/cluster shape mismatch");
@@ -130,7 +130,7 @@ exec::ExecutionPlan plan_baseline(BaselineKind kind, const Circuit& circuit,
 }
 
 BaselineResult run_baseline(BaselineKind kind, const Circuit& circuit,
-                            const SimulatorConfig& config) {
+                            const SessionConfig& config) {
   BaselineResult result;
   result.plan = plan_baseline(kind, circuit, config);
   device::Cluster cluster(config.cluster);

@@ -16,7 +16,7 @@
 ///  * QDAO-like      — DRAM offloading with per-kernel block reloads
 ///                     instead of Atlas' one swap per stage.
 
-#include "core/atlas.h"
+#include "core/session.h"
 #include "ir/circuit.h"
 
 namespace atlas::baselines {
@@ -27,7 +27,7 @@ const char* baseline_name(BaselineKind kind);
 
 /// Builds the baseline's execution plan for the given cluster shape.
 exec::ExecutionPlan plan_baseline(BaselineKind kind, const Circuit& circuit,
-                                  const SimulatorConfig& config);
+                                  const SessionConfig& config);
 
 struct BaselineResult {
   exec::ExecutionPlan plan;
@@ -37,6 +37,6 @@ struct BaselineResult {
 
 /// Plans and executes the baseline end to end from |0...0>.
 BaselineResult run_baseline(BaselineKind kind, const Circuit& circuit,
-                            const SimulatorConfig& config);
+                            const SessionConfig& config);
 
 }  // namespace atlas::baselines

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file timer.h
-/// Wall-clock timing used by benchmarks and the cost-model calibrator.
+/// Wall-clock timing used by benchmarks and the engine's reports.
 
 #include <chrono>
 

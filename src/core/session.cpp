@@ -428,17 +428,6 @@ std::future<SimulationResult> Session::submit(Circuit circuit) const {
   return future;
 }
 
-std::vector<SimulationResult> Session::simulate_batch(
-    std::vector<Circuit> circuits) const {
-  std::vector<std::future<SimulationResult>> futures;
-  futures.reserve(circuits.size());
-  for (Circuit& c : circuits) futures.push_back(submit(std::move(c)));
-  std::vector<SimulationResult> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
-}
-
 PlanCacheStats Session::plan_cache_stats() const {
   return plan_cache_->stats();
 }

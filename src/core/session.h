@@ -3,7 +3,11 @@
 /// \file session.h
 /// The Atlas engine API: a long-lived Session owning the simulated
 /// cluster, the backend engines (resolved by name from the pluggable
-/// registries), an LRU plan cache, and an async dispatch pool.
+/// registries), an LRU plan cache, and an async dispatch pool. It is
+/// the only public engine. Its synchronous calls follow the paper's
+/// Algorithm 1: plan() is PARTITION (STAGE, then KERNELIZE per stage),
+/// execute() is EXECUTE, and simulate() runs a cached PARTITION then
+/// EXECUTE from |0...0>.
 ///
 ///   atlas::SessionConfig cfg;
 ///   cfg.cluster.local_qubits = 20;
@@ -55,7 +59,10 @@ namespace noise {
 class NoiseModel;
 }
 
-struct SimulatorConfig {
+/// Session construction knobs: the cluster shape, the staging and
+/// kernelization options and cost models, backend selection by registry
+/// name, and the plan-cache and dispatch shapes.
+struct SessionConfig {
   device::ClusterConfig cluster;
   staging::StagingOptions staging;
   kernelize::CostModel cost_model = kernelize::CostModel::default_model();
@@ -63,15 +70,6 @@ struct SimulatorConfig {
   /// Inter-node cost factor c of Eq. (2); the paper uses 3.
   double stage_cost_factor = 3.0;
   device::CommCostModel comm = device::CommCostModel::perlmutter_like();
-};
-
-/// Session construction knobs: everything the legacy SimulatorConfig
-/// carried, plus backend selection by registry name and the plan-cache
-/// and dispatch shapes.
-struct SessionConfig : SimulatorConfig {
-  SessionConfig() = default;
-  SessionConfig(SimulatorConfig base) : SimulatorConfig(std::move(base)) {}
-
   /// Staging engine (staging::stager_registry() key).
   std::string stager = "auto";
   /// Kernelization engine (kernelize::kernelizer_registry() key).
@@ -83,7 +81,7 @@ struct SessionConfig : SimulatorConfig {
   /// Plans retained in the LRU cache; 0 disables caching. Ignored by
   /// the Session constructor that takes a shared cache.
   std::size_t plan_cache_capacity = 64;
-  /// Worker threads dispatching submit()/simulate_batch() jobs
+  /// Worker threads dispatching submit(), sweep() and run_noisy() jobs
   /// (0 = min(hardware, 4)). Distinct from cluster.num_threads, which
   /// sizes the per-shard compute pool.
   int dispatch_threads = 0;
@@ -198,10 +196,10 @@ struct SimulationResult {
   mutable std::uint64_t sample_counter_ = 0;
 };
 
-/// A long-lived simulation engine. Thread-safe: compile(), simulate(),
-/// submit(), and simulate_batch() may be called concurrently; results
-/// are bit-identical to sequential execution because every job owns
-/// its state and plans are immutable once built.
+/// A long-lived simulation engine. Thread-safe: compile(), simulate()
+/// and submit() may be called concurrently; results are bit-identical
+/// to sequential execution because every job owns its state and plans
+/// are immutable once built.
 class Session {
  public:
   /// Validates `config` (throws atlas::Error naming the offending
@@ -309,11 +307,6 @@ class Session {
   /// surface from Future::get(). Jobs submitted concurrently share the
   /// plan cache and the cluster's compute pool.
   std::future<SimulationResult> submit(Circuit circuit) const;
-
-  /// Simulates a batch concurrently; results are positionally aligned
-  /// with `circuits`.
-  std::vector<SimulationResult> simulate_batch(
-      std::vector<Circuit> circuits) const;
 
   /// \name Noisy simulation (stochastic trajectory unravelling)
   /// Averages `options.trajectories` stochastic unravellings of

@@ -6,7 +6,6 @@
 #include "common/bits.h"
 #include "common/error.h"
 #include "common/fnv.h"
-#include "exec/partial_eval.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "sim/fusion.h"
@@ -26,7 +25,7 @@ using KernelSkeleton = StageSkeleton::KernelSkeleton;
 /// Shard-invariant *structural* preparation of one gate against the
 /// stage layout: its qubits are remapped to physical bit positions and
 /// its shard-dependence is reduced to a list of shard-index bits plus
-/// how to react to them. Mirrors the case split of partial_evaluate(),
+/// how to react to them: the case split documented in stage_program.h,
 /// evaluated once per stage *structure* — matrix values are filled at
 /// bind time.
 GateSlot prep_gate(const Gate& g, int gate_index, const Layout& layout,
@@ -171,6 +170,22 @@ KernelSkeleton compile_kernel_skeleton(std::vector<GateSlot> slots,
   }
   kp.slots = std::move(slots);
   return kp;
+}
+
+/// Restriction of a fully diagonal gate matrix to its local qubits:
+/// entry v of the result is full(fixed | spread(v, local_pos)) on the
+/// diagonal, where `fixed` holds the known values of the non-local
+/// qubits in the gate's index space.
+Matrix restrict_diagonal(const Matrix& full, const std::vector<int>& local_pos,
+                         Index fixed) {
+  const int lk = static_cast<int>(local_pos.size());
+  Matrix restricted(1 << lk, 1 << lk);
+  for (Index v = 0; v < (Index{1} << lk); ++v) {
+    const Index full_idx = fixed | spread_bits(v, local_pos);
+    restricted(static_cast<int>(v), static_cast<int>(v)) =
+        full(static_cast<int>(full_idx), static_cast<int>(full_idx));
+  }
+  return restricted;
 }
 
 /// Matrix values of one slot, resolved against the binding environment.

@@ -15,10 +15,25 @@
 ///    distinct non-local bit pattern, not per shard.
 ///
 /// The only genuinely shard-dependent inputs are the values of the
-/// shard's non-local bits: they decide whether a non-local control
-/// fires, which diagonal restriction applies, and which anti-diagonal
-/// scale is picked. Each kernel therefore records the set of shard-id
-/// bits it reads (`pattern_bits`) and a table of fully lowered variants
+/// shard's non-local bits. Before a shard executes a gate whose insular
+/// qubits are non-local (Appendix B-a, "insular qubits"), their known
+/// values are folded in, leaving a smaller purely local operation
+/// (StageSkeleton::GateSlot::Case):
+///
+///  * non-local control = 0  -> the gate is the identity (Ctrl, skip);
+///  * non-local control = 1  -> drop the control (Ctrl);
+///  * fully diagonal gate    -> restrict the diagonal by the fixed
+///                              bits (DiagRestrict), possibly down to a
+///                              scalar (DiagScale);
+///  * 1q anti-diagonal (X/Y) -> flip the shard-id mapping bit
+///                              (layout.shard_xor) and scale by the
+///                              anti-diagonal entry (Antidiag).
+///
+/// Staging guarantees every *non-insular* qubit is local, so these
+/// four cases are exhaustive.
+///
+/// Each kernel therefore records the set of shard-id bits its gates'
+/// cases read (`pattern_bits`) and a table of fully lowered variants
 /// indexed by the gathered bit pattern — per-shard "specialization" is
 /// a few bit tests and a table lookup. Since a kernel reading j shard
 /// bits has at most 2^j <= num_shards distinct variants, compiling

@@ -3,12 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/rng.h"
-#include "common/timer.h"
-#include "sim/apply.h"
-#include "sim/fusion.h"
 #include "sim/shm_executor.h"
-#include "sim/state_vector.h"
 
 namespace atlas::kernelize {
 
@@ -50,66 +45,6 @@ CostModel CostModel::default_model() {
   m.shm_gate_2q = 0.09;
   m.shm_gate_3q = 0.18;
   m.max_shm_qubits = kShmQubits;
-  return m;
-}
-
-CostModel CostModel::calibrate(int buffer_qubits) {
-  ATLAS_CHECK(buffer_qubits >= 12 && buffer_qubits <= 26,
-              "calibration buffer out of range");
-  CostModel m = default_model();
-  StateVector sv = StateVector::random(buffer_qubits, 12345);
-  std::vector<int> identity(buffer_qubits);
-  for (int i = 0; i < buffer_qubits; ++i) identity[i] = i;
-
-  auto time_of = [&](auto&& fn) {
-    // Warm-up + best-of-3 to shave scheduler noise.
-    fn();
-    double best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      Timer t;
-      fn();
-      best = std::min(best, t.seconds());
-    }
-    return best;
-  };
-
-  // Fusion kernels: dense k-qubit random unitary-ish matrices (the
-  // cost model does not care about unitarity).
-  Rng rng(7);
-  std::vector<double> raw(m.max_fusion_qubits + 1, 0.0);
-  for (int k = 1; k <= m.max_fusion_qubits; ++k) {
-    Matrix mat(1 << k, 1 << k);
-    for (int r = 0; r < (1 << k); ++r)
-      for (int c = 0; c < (1 << k); ++c) mat(r, c) = rng.amp();
-    std::vector<int> targets;
-    for (int t = 0; t < k; ++t) targets.push_back(t + 3);
-    raw[k] = time_of(
-        [&] { apply_matrix(sv.data(), sv.size(), targets, mat); });
-  }
-  // Normalize to 1-qubit units.
-  for (int k = 1; k <= m.max_fusion_qubits; ++k)
-    m.fusion_cost[k] = raw[k] / raw[1];
-
-  // Shared-memory: alpha from an empty kernel; per-gate costs from the
-  // marginal cost of extra gates in one kernel.
-  const double empty = time_of([&] {
-    run_shared_memory_kernel(sv.data(), sv.size(), {}, identity);
-  });
-  auto shm_gates_time = [&](const std::vector<Gate>& gates) {
-    return time_of([&] {
-      run_shared_memory_kernel(sv.data(), sv.size(), gates, identity);
-    });
-  };
-  const std::vector<Gate> g1(8, Gate::h(4));
-  const std::vector<Gate> g2(8, Gate::rxx(4, 5, 0.3));
-  Matrix m3(8, 8);
-  for (int r = 0; r < 8; ++r)
-    for (int c = 0; c < 8; ++c) m3(r, c) = rng.amp();
-  const std::vector<Gate> g3(8, Gate::unitary({4, 5, 6}, m3));
-  m.shm_alpha = empty / raw[1];
-  m.shm_gate_1q = std::max(1e-4, (shm_gates_time(g1) - empty) / 8 / raw[1]);
-  m.shm_gate_2q = std::max(1e-4, (shm_gates_time(g2) - empty) / 8 / raw[1]);
-  m.shm_gate_3q = std::max(1e-4, (shm_gates_time(g3) - empty) / 8 / raw[1]);
   return m;
 }
 

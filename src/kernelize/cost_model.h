@@ -10,10 +10,11 @@
 ///    micro-batches, gates applied one by one (HyQuas SHM-style).
 ///    Cost = alpha (batch load) + sum of per-gate costs.
 ///
-/// Constants are calibrated by micro-benchmarking the simulation
-/// substrate (mirroring the paper's Section VII-A profiling step);
-/// `default_model()` ships constants measured on the reference
-/// substrate so preprocessing is deterministic without calibration.
+/// The constants of `default_model()` are hand-set, so preprocessing
+/// is deterministic. They are not measured on this substrate (the
+/// paper's Section VII-A profiling step): the ROADMAP item "A cost
+/// model in the kernels' own classes" covers calibrating them against
+/// the apply kernels' classes.
 
 #include "ir/gate.h"
 
@@ -43,13 +44,8 @@ struct CostModel {
   /// "most cost-efficient kernel size" used by the greedy baseline).
   int most_efficient_fusion_size() const;
 
-  /// Constants measured once on the reference substrate.
+  /// The hand-set constants every engine plans with by default.
   static CostModel default_model();
-
-  /// Micro-benchmarks gate application on a 2^buffer_qubits buffer to
-  /// fill the constants (Section VII-A). Deterministic inputs, timed
-  /// with steady_clock; intended for benches, not unit tests.
-  static CostModel calibrate(int buffer_qubits = 18);
 };
 
 }  // namespace atlas::kernelize

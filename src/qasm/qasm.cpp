@@ -1,8 +1,10 @@
 #include "qasm/qasm.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <numbers>
 #include <sstream>
 #include <unordered_map>
@@ -12,6 +14,27 @@
 
 namespace atlas::qasm {
 namespace {
+
+/// Parses `text`, blanks around it allowed, as a non-negative decimal
+/// int: a register size or a qubit index. Anything else (a sign, a
+/// trailing non-digit, a value past INT_MAX) throws an invalid-argument
+/// atlas::Error naming the line.
+int parse_count(const std::string& text, int line_no, const char* what) {
+  const std::size_t b = text.find_first_not_of(" \t");
+  const std::size_t e = text.find_last_not_of(" \t");
+  const char* first = text.data() + (b == std::string::npos ? 0 : b);
+  const char* last = b == std::string::npos ? first : text.data() + e + 1;
+  int value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  const bool digits_only =
+      first != last && std::isdigit(static_cast<unsigned char>(*first)) != 0 &&
+      ec == std::errc() && end == last;
+  ATLAS_CHECK_ARG(digits_only, "line " << line_no << ": " << what << " '"
+                                       << text
+                                       << "' is not a non-negative integer "
+                                          "that fits an int");
+  return value;
+}
 
 /// Recursive-descent evaluator for gate parameter expressions. Yields a
 /// Param: identifiers declared via `input float` become free symbols,
@@ -210,7 +233,7 @@ class LineParser {
     while (pos_ < line_.size() && std::isdigit(line_[pos_]) != 0)
       s += line_[pos_++];
     ATLAS_CHECK_ARG(!s.empty(), "line " << line_no_ << ": expected number");
-    return std::stoi(s);
+    return parse_count(s, line_no_, "qubit index");
   }
 
   void expect(char c) {
@@ -403,7 +426,8 @@ Circuit parse(const std::string& source, std::vector<int>* gate_lines) {
       name.erase(0, name.find_first_not_of(" \t"));
       name.erase(name.find_last_not_of(" \t") + 1);
       qreg_name = name;
-      num_qubits = std::stoi(s.substr(lb + 1, rb - lb - 1));
+      num_qubits =
+          parse_count(s.substr(lb + 1, rb - lb - 1), ln, "register size");
       circuit = Circuit(num_qubits);
       have_circuit = true;
       continue;
@@ -534,9 +558,11 @@ class PragmaParser {
 
   int integer() {
     const double v = number();
-    ATLAS_CHECK_ARG(v >= 0 && v == static_cast<int>(v),
-                "line " << line_no_
-                        << ": qubit index must be a non-negative integer");
+    // Range first: casting a double past INT_MAX to int is undefined.
+    ATLAS_CHECK_ARG(v >= 0 && v <= std::numeric_limits<int>::max() &&
+                        v == std::floor(v),
+                    "line " << line_no_
+                            << ": qubit index must be a non-negative integer");
     return static_cast<int>(v);
   }
 

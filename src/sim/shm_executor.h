@@ -74,8 +74,7 @@ ShmProgram compile_shm_program(const std::vector<MatrixOp>& ops);
 
 /// Replays a compiled program over the buffer. `scratch` is caller-
 /// provided storage reused across invocations (resized as needed).
-/// \returns the number of micro-batches processed (used by cost-model
-///          calibration).
+/// \returns the number of micro-batches processed (checked by tests).
 Index run_shm_program(Amp* data, Index size, const ShmProgram& prog,
                       std::vector<Amp>& scratch);
 

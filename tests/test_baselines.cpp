@@ -12,8 +12,8 @@
 namespace atlas {
 namespace {
 
-SimulatorConfig config_for(int local, int regional, int global, int gpus) {
-  SimulatorConfig cfg;
+SessionConfig config_for(int local, int regional, int global, int gpus) {
+  SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
@@ -47,7 +47,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Baselines, QdaoOffloadCorrectAndHeavier) {
   // Offloading shape: 8 DRAM shards/node, 1 physical GPU.
-  SimulatorConfig cfg = config_for(7, 3, 0, 1);
+  SessionConfig cfg = config_for(7, 3, 0, 1);
   ASSERT_TRUE(cfg.cluster.offloading());
   const Circuit c = circuits::qft(10);
   const auto qdao = baselines::run_baseline(BaselineKind::Qdao, c, cfg);
@@ -55,8 +55,8 @@ TEST(Baselines, QdaoOffloadCorrectAndHeavier) {
   EXPECT_LT(qdao.state.gather().max_abs_diff(expected), 1e-8);
 
   // Atlas on the same shape: one reload per stage, not per kernel.
-  const Simulator sim(cfg);
-  const auto atlas_result = sim.simulate(c);
+  const Session session(cfg);
+  const auto atlas_result = session.simulate(c);
   EXPECT_LT(atlas_result.state.gather().max_abs_diff(expected), 1e-8);
   EXPECT_GT(qdao.report.totals.offload_bytes,
             atlas_result.report.totals.offload_bytes);
@@ -77,11 +77,11 @@ TEST(Baselines, QiskitLaunchesOneKernelPerGate) {
 TEST(Baselines, AtlasKernelCostAtMostBaselines) {
   // Fig. 10's premise: the DP kernel cost beats greedy and per-gate
   // execution on every family.
-  SimulatorConfig cfg = config_for(11, 0, 0, 1);
+  SessionConfig cfg = config_for(11, 0, 0, 1);
+  const Session session(cfg);
   for (const auto& family : circuits::family_names()) {
     const Circuit c = circuits::make_family(family, 11);
-    const Simulator sim(cfg);
-    const auto atlas_plan = sim.plan(c);
+    const exec::ExecutionPlan atlas_plan = *session.plan(c);
     for (const auto kind : {BaselineKind::Qiskit, BaselineKind::CuQuantum}) {
       const auto base_plan = baselines::plan_baseline(kind, c, cfg);
       EXPECT_LE(atlas_plan.kernel_cost_total,
@@ -94,11 +94,11 @@ TEST(Baselines, AtlasKernelCostAtMostBaselines) {
 TEST(Baselines, AtlasStagesAtMostSnuqsStages) {
   // The end-to-end speed edge at scale comes from fewer stages; Atlas
   // must never need more than the heuristic staging baselines.
-  SimulatorConfig cfg = config_for(8, 2, 2, 4);
+  SessionConfig cfg = config_for(8, 2, 2, 4);
+  const Session session(cfg);
   for (const auto& family : circuits::family_names()) {
     const Circuit c = circuits::make_family(family, 12);
-    const Simulator sim(cfg);
-    const auto atlas_plan = sim.plan(c);
+    const exec::ExecutionPlan atlas_plan = *session.plan(c);
     const auto qiskit_plan =
         baselines::plan_baseline(BaselineKind::Qiskit, c, cfg);
     EXPECT_LE(atlas_plan.stages.size(), qiskit_plan.stages.size()) << family;

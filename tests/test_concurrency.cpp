@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "serve/session_store.h"
 
 namespace atlas {

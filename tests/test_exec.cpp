@@ -1,7 +1,8 @@
-// Distributed-execution tests: layout/remap correctness, insular
-// partial evaluation, and end-to-end equivalence of the full Atlas
-// pipeline (STAGE + KERNELIZE + EXECUTE) against the reference
-// simulator, across circuit families, machine shapes, and offloading.
+// Distributed-execution tests: layout/remap correctness and end-to-end
+// equivalence of the full Atlas pipeline (STAGE + KERNELIZE + EXECUTE)
+// against the reference simulator, across circuit families, machine
+// shapes, and offloading. Insular partial evaluation is covered case by
+// case in test_stage_program.cpp.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,7 @@
 
 #include "circuits/families.h"
 #include "common/rng.h"
-#include "core/atlas.h"
-#include "exec/partial_eval.h"
+#include "core/session.h"
 #include "exec/remap.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -240,57 +240,12 @@ TEST(DistState, PooledZeroStateMatchesSerial) {
   }
 }
 
-TEST(PartialEval, NonLocalControlSkipsOrDrops) {
-  // Layout: qubit 2 is non-local (position 3 of 4, L=3).
-  const auto layout = layout_for({0, 1, 3, 2}, 3);
-  const Gate cx = Gate::cx(2, 0);  // control q2 (non-local), target q0
-  // Shard 0: q2 = 0 -> skip.
-  const auto op0 = exec::partial_evaluate(cx, layout, 0);
-  EXPECT_TRUE(op0.skip);
-  // Shard 1: q2 = 1 -> plain X on q0.
-  const auto op1 = exec::partial_evaluate(cx, layout, 1);
-  ASSERT_TRUE(op1.gate.has_value());
-  EXPECT_EQ(op1.gate->num_controls(), 0);
-  EXPECT_TRUE(op1.gate->target_matrix().is_antidiagonal());
-}
-
-TEST(PartialEval, DiagonalGateRestriction) {
-  const auto layout = layout_for({0, 1, 3, 2}, 3);
-  const Gate cp = Gate::cp(2, 0, 0.7);  // fully diagonal, q2 non-local
-  // Shard 1 (q2=1): P(0.7) remains on q0.
-  const auto op = exec::partial_evaluate(cp, layout, 1);
-  ASSERT_TRUE(op.gate.has_value());
-  const Matrix m = op.gate->target_matrix();
-  EXPECT_NEAR(std::arg(m(1, 1)), 0.7, kTol);
-  // Shard 0 (q2=0): identity.
-  const auto op0 = exec::partial_evaluate(cp, layout, 0);
-  if (op0.gate.has_value()) {
-    EXPECT_LT(Matrix::max_abs_diff(op0.gate->target_matrix(),
-                                   Matrix::identity(2)),
-              kTol);
-  } else {
-    EXPECT_TRUE(op0.skip || op0.scale == Amp(1, 0));
-  }
-}
-
-TEST(PartialEval, AntidiagonalFlip) {
-  const auto layout = layout_for({0, 1, 3, 2}, 3);
-  const auto op = exec::partial_evaluate(Gate::x(2), layout, 0);
-  EXPECT_EQ(op.flip_phys_bit, 3);
-  EXPECT_EQ(op.scale, Amp(1, 0));
-  // Y carries the +-i phases.
-  const auto opy0 = exec::partial_evaluate(Gate::y(2), layout, 0);
-  const auto opy1 = exec::partial_evaluate(Gate::y(2), layout, 1);
-  EXPECT_EQ(opy0.scale, Amp(0, 1));
-  EXPECT_EQ(opy1.scale, Amp(0, -1));
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end: the full pipeline must match the reference simulator.
 
-SimulatorConfig small_config(int n, int local, int regional, int global,
-                             int gpus_per_node) {
-  SimulatorConfig cfg;
+SessionConfig small_config(int n, int local, int regional, int global,
+                           int gpus_per_node) {
+  SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
@@ -305,8 +260,8 @@ class EndToEndFamilyTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(EndToEndFamilyTest, MatchesReference) {
   const int n = 12;
   const Circuit c = circuits::make_family(GetParam(), n);
-  const Simulator sim(small_config(n, 8, 2, 2, 4));
-  const SimulationResult result = sim.simulate(c);
+  const Session session(small_config(n, 8, 2, 2, 4));
+  const SimulationResult result = session.simulate(c);
   const StateVector expected = simulate_reference(c);
   EXPECT_LT(result.state.gather().max_abs_diff(expected), 1e-8)
       << GetParam();
@@ -325,9 +280,9 @@ TEST(EndToEnd, RandomCircuitsAcrossShapes) {
   for (const auto& sh : shapes) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const Circuit c = circuits::random_circuit(10, 60, seed);
-      const Simulator sim(
+      const Session session(
           small_config(10, sh.local, sh.regional, sh.global, sh.gpus));
-      const SimulationResult result = sim.simulate(c);
+      const SimulationResult result = session.simulate(c);
       const StateVector expected = simulate_reference(c);
       EXPECT_LT(result.state.gather().max_abs_diff(expected), 1e-8)
           << "L=" << sh.local << " R=" << sh.regional << " G=" << sh.global
@@ -340,11 +295,11 @@ TEST(EndToEnd, OffloadingMatchesReference) {
   // 2^2 = 4 DRAM shards per node but only 1 physical GPU: shards swap
   // through the GPU (Section VII-C).
   const int n = 11;
-  SimulatorConfig cfg = small_config(n, 7, 3, 1, 1);
+  SessionConfig cfg = small_config(n, 7, 3, 1, 1);
   EXPECT_TRUE(cfg.cluster.offloading());
   const Circuit c = circuits::qft(n);
-  const Simulator sim(cfg);
-  const SimulationResult result = sim.simulate(c);
+  const Session session(cfg);
+  const SimulationResult result = session.simulate(c);
   const StateVector expected = simulate_reference(c);
   EXPECT_LT(result.state.gather().max_abs_diff(expected), 1e-8);
   EXPECT_GT(result.report.totals.offload_bytes, 0u);
@@ -353,8 +308,8 @@ TEST(EndToEnd, OffloadingMatchesReference) {
 TEST(EndToEnd, ReportAccounting) {
   const int n = 11;
   const Circuit c = circuits::su2random(n);
-  const Simulator sim(small_config(n, 8, 2, 1, 4));
-  const SimulationResult r = sim.simulate(c);
+  const Session session(small_config(n, 8, 2, 1, 4));
+  const SimulationResult r = session.simulate(c);
   EXPECT_EQ(r.report.stages.size(), r.plan->stages.size());
   EXPECT_GT(r.report.wall_seconds, 0.0);
   EXPECT_GT(r.report.totals.kernel_bytes, 0u);
@@ -365,8 +320,8 @@ TEST(EndToEnd, ReportAccounting) {
               0u);
   }
   const double modeled = r.report.modeled_seconds(
-      sim.config().comm, sim.cluster().config().num_nodes() * 4,
-      sim.cluster().config().num_nodes());
+      session.config().comm, session.cluster().config().num_nodes() * 4,
+      session.cluster().config().num_nodes());
   EXPECT_GT(modeled, 0.0);
 }
 
@@ -377,8 +332,8 @@ TEST(EndToEnd, RemapMetricsMatchReport) {
   obs::Histogram& us = obs::histogram(obs::names::kExecRemapUs);
   const std::uint64_t bytes_before = bytes.value();
   const std::uint64_t count_before = us.count();
-  const Simulator sim(small_config(11, 8, 2, 1, 4));
-  const SimulationResult r = sim.simulate(circuits::su2random(11));
+  const Session session(small_config(11, 8, 2, 1, 4));
+  const SimulationResult r = session.simulate(circuits::su2random(11));
   const device::CommStats& t = r.report.totals;
   EXPECT_EQ(bytes.value() - bytes_before,
             t.intra_gpu_bytes + t.intra_node_bytes + t.inter_node_bytes);
@@ -389,21 +344,21 @@ TEST(EndToEnd, RemapMetricsMatchReport) {
 TEST(EndToEnd, PlanIsReusableAcrossRuns) {
   const int n = 10;
   const Circuit c = circuits::ising(n);
-  const Simulator sim(small_config(n, 7, 2, 1, 4));
-  const exec::ExecutionPlan plan = sim.plan(c);
-  exec::DistState s1 = exec::initial_state(plan, sim.cluster());
-  exec::DistState s2 = exec::initial_state(plan, sim.cluster());
-  sim.execute(plan, s1);
-  sim.execute(plan, s2);
+  const Session session(small_config(n, 7, 2, 1, 4));
+  const exec::ExecutionPlan plan = *session.plan(c);
+  exec::DistState s1 = exec::initial_state(plan, session.cluster());
+  exec::DistState s2 = exec::initial_state(plan, session.cluster());
+  session.execute(plan, s1);
+  session.execute(plan, s2);
   EXPECT_LT(s1.gather().max_abs_diff(s2.gather()), kTol);
 }
 
 TEST(DistState, InitialStateMatchesSerialZeroState) {
   // 8 KiB and 1 MiB shards through a compiled plan's first layout.
   for (int L : {9, 16}) {
-    const Simulator sim(small_config(L + 2, L, 1, 1, 2));
-    const exec::ExecutionPlan plan = sim.plan(circuits::ghz(L + 2));
-    exec::DistState pooled = exec::initial_state(plan, sim.cluster());
+    const Session session(small_config(L + 2, L, 1, 1, 2));
+    const exec::ExecutionPlan plan = *session.plan(circuits::ghz(L + 2));
+    exec::DistState pooled = exec::initial_state(plan, session.cluster());
     exec::DistState serial = exec::DistState::zero_state(pooled.layout());
     EXPECT_TRUE(pooled.shards() == serial.shards()) << "L=" << L;
   }
@@ -417,16 +372,16 @@ TEST(EndToEnd, XGateOnGlobalQubitViaShardXor) {
   for (int q = 0; q < n; ++q) c.add(Gate::h(std::min(q, 7)));
   c.add(Gate::x(9));           // insular, can stay global
   c.add(Gate::cp(9, 0, 0.5));  // diagonal, reads q9 = 1 now
-  const Simulator sim(small_config(n, 8, 1, 1, 2));
-  const SimulationResult result = sim.simulate(c);
+  const Session session(small_config(n, 8, 1, 1, 2));
+  const SimulationResult result = session.simulate(c);
   const StateVector expected = simulate_reference(c);
   EXPECT_LT(result.state.gather().max_abs_diff(expected), 1e-8);
 }
 
 TEST(EndToEnd, HhlSmallMatchesReference) {
   const Circuit c = circuits::hhl(5, 10);
-  const Simulator sim(small_config(10, 7, 2, 1, 4));
-  const SimulationResult result = sim.simulate(c);
+  const Session session(small_config(10, 7, 2, 1, 4));
+  const SimulationResult result = session.simulate(c);
   const StateVector expected = simulate_reference(c);
   EXPECT_LT(result.state.gather().max_abs_diff(expected), 1e-7);
 }

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "exec/queries.h"
 #include "opt/rewrite.h"
 #include "sim/measure.h"
@@ -87,16 +87,16 @@ TEST(Measure, ChiSquareAgainstKnownDistribution) {
 // distribution of a scaled state.
 TEST(DistQueries, ChiSquareAndWeightedSampling) {
   const int n = 5;
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = 3;
   cfg.cluster.regional_qubits = 1;
   cfg.cluster.global_qubits = 1;
   cfg.cluster.gpus_per_node = 2;
-  const Simulator sim(cfg);
+  const Session session(cfg);
   Circuit c(n);
   for (Qubit q = 0; q < n; ++q) c.add(Gate::h(q));
   c.add(Gate::cx(0, 4));
-  const auto result = sim.simulate(c);
+  const auto result = session.simulate(c);
   const StateVector gathered = result.state.gather();
 
   const int shots = 20000;
@@ -180,13 +180,13 @@ TEST(Measure, GhzZZCorrelation) {
 TEST(DistQueries, AgreeWithGatheredState) {
   const int n = 11;
   const Circuit c = circuits::random_circuit(n, 60, 9);
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = 7;
   cfg.cluster.regional_qubits = 2;
   cfg.cluster.global_qubits = 2;
   cfg.cluster.gpus_per_node = 4;
-  const Simulator sim(cfg);
-  const auto result = sim.simulate(c);
+  const Session session(cfg);
+  const auto result = session.simulate(c);
   const StateVector gathered = result.state.gather();
 
   EXPECT_NEAR(exec::norm_sq(result.state), 1.0, 1e-9);
@@ -204,13 +204,13 @@ TEST(DistQueries, AgreeWithGatheredState) {
 
 TEST(DistQueries, SamplingDistributedGhz) {
   const int n = 10;
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = 7;
   cfg.cluster.regional_qubits = 2;
   cfg.cluster.global_qubits = 1;
   cfg.cluster.gpus_per_node = 4;
-  const Simulator sim(cfg);
-  const auto result = sim.simulate(circuits::ghz(n));
+  const Session session(cfg);
+  const auto result = session.simulate(circuits::ghz(n));
   Rng rng(7);
   const auto samples = exec::sample(result.state, 500, rng);
   const Index all_ones = (Index{1} << n) - 1;

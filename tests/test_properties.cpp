@@ -7,7 +7,7 @@
 
 #include "baselines/baselines.h"
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "exec/remap.h"
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
@@ -26,13 +26,13 @@ class NormPreservationTest : public ::testing::TestWithParam<int> {};
 TEST_P(NormPreservationTest, FullPipelinePreservesNorm) {
   const std::uint64_t seed = GetParam();
   const Circuit c = circuits::random_circuit(9, 50, seed);
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = 6;
   cfg.cluster.regional_qubits = 2;
   cfg.cluster.global_qubits = 1;
   cfg.cluster.gpus_per_node = 4;
-  const Simulator sim(cfg);
-  const auto result = sim.simulate(c);
+  const Session session(cfg);
+  const auto result = session.simulate(c);
   EXPECT_NEAR(result.state.gather().norm_sq(), 1.0, 1e-9) << "seed " << seed;
 }
 
@@ -52,15 +52,15 @@ TEST_P(ShapeSweepTest, PipelineMatchesReferenceUnderRandomShape) {
   const int rest = n - local;
   const int regional = static_cast<int>(rng.index(rest + 1));
   const int global = rest - regional;
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
   cfg.cluster.gpus_per_node =
       1 << static_cast<int>(rng.index(regional + 1));  // may offload
   const Circuit c = circuits::random_circuit(n, 45, seed);
-  const Simulator sim(cfg);
-  const auto result = sim.simulate(c);
+  const Session session(cfg);
+  const auto result = session.simulate(c);
   const StateVector expected = simulate_reference(c);
   EXPECT_LT(result.state.gather().max_abs_diff(expected), 1e-8)
       << "seed=" << seed << " n=" << n << " L=" << local << " R=" << regional
@@ -198,14 +198,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelizePropertyTest,
 TEST(Property, AtlasModeledTimeAtMostQiskitEverywhere) {
   for (const auto& family : circuits::family_names()) {
     const int n = 12;
-    SimulatorConfig cfg;
+    SessionConfig cfg;
     cfg.cluster.local_qubits = 9;
     cfg.cluster.regional_qubits = 2;
     cfg.cluster.global_qubits = 1;
     cfg.cluster.gpus_per_node = 4;
     const Circuit c = circuits::make_family(family, n);
-    const Simulator sim(cfg);
-    const auto atlas_run = sim.simulate(c);
+    const Session session(cfg);
+    const auto atlas_run = session.simulate(c);
     const auto qiskit =
         baselines::run_baseline(baselines::BaselineKind::Qiskit, c, cfg);
     const int gpus = 8;
@@ -249,20 +249,20 @@ TEST(Property, ModeledTimeScalesDownWithGpus) {
 TEST(Property, ExecuteOnRandomInitialState) {
   const int n = 10;
   const Circuit c = circuits::ising(n);
-  SimulatorConfig cfg;
+  SessionConfig cfg;
   cfg.cluster.local_qubits = 7;
   cfg.cluster.regional_qubits = 2;
   cfg.cluster.global_qubits = 1;
   cfg.cluster.gpus_per_node = 4;
-  const Simulator sim(cfg);
-  const auto plan = sim.plan(c);
+  const Session session(cfg);
+  const exec::ExecutionPlan plan = *session.plan(c);
   const StateVector initial = StateVector::random(n, 321);
 
   // Scatter the random state into stage 0's layout and execute.
   const exec::Layout layout0 = exec::Layout::for_partition(
       plan.stages.front().partition, 7, 2, exec::Layout::identity(n, 7));
   exec::DistState st = exec::DistState::scatter(initial, layout0);
-  sim.execute(plan, st);
+  session.execute(plan, st);
   const StateVector expected = simulate_reference(c, initial);
   EXPECT_LT(st.gather().max_abs_diff(expected), 1e-8);
 }

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "circuits/families.h"
 #include "opt/pass_manager.h"
@@ -74,6 +76,28 @@ TEST(Qasm, RejectsGateBeforeQreg) {
 
 TEST(Qasm, RejectsUnknownRegister) {
   EXPECT_THROW(qasm::parse("qreg q[2]; h r[0];"), Error);
+}
+
+TEST(Qasm, RejectsMalformedIntegerLiterals) {
+  // Each offending literal sits on line 2.
+  const std::vector<std::string> bad = {
+      "OPENQASM 2.0;\nqreg q[99999999999];",  // register size past INT_MAX
+      "OPENQASM 2.0;\nqreg q[x];",            // not a number
+      "qreg q[2];\nh q[99999999999];",        // qubit index past INT_MAX
+      "OPENQASM 2.0;\nqreg q[3x];",           // trailing non-digit
+  };
+  for (const std::string& src : bad) {
+    try {
+      qasm::parse(src);
+      FAIL() << "expected a parse error for: " << src;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::invalid_argument) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Blanks around the digits stay accepted.
+  EXPECT_EQ(qasm::parse("qreg q[ 3 ]; h q[ 2 ];").num_qubits(), 3);
 }
 
 class QasmRoundTripTest : public ::testing::TestWithParam<std::string> {};
@@ -319,6 +343,9 @@ TEST(QasmNoise, MalformedPragmasThrowWithLineNumbers) {
   expect_throw_containing(
       prelude + "#pragma atlas noise depolarizing(0.1) gate warp\n",
       "unknown gate name");
+  expect_throw_containing(
+      prelude + "#pragma atlas noise depolarizing(0.1) qubit 1e20\n",
+      "non-negative integer");
 }
 
 }  // namespace

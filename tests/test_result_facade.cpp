@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "sim/reference.h"
 
 namespace atlas {

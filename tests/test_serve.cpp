@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/atlas.h"
+#include "core/session.h"
 #include "qasm/qasm.h"
 #include "serve/client.h"
 #include "serve/server.h"

@@ -1,7 +1,7 @@
 // Session API tests: backend registries (built-ins, custom engines,
 // unknown names), construction-time config validation, plan-cache
-// behavior (hits, eviction, disabling), legacy-Simulator equivalence,
-// and concurrent submit() determinism.
+// behavior (hits, eviction, disabling), and concurrent submit()
+// determinism.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "circuits/families.h"
-#include "core/atlas.h"
+#include "core/session.h"
 #include "kernelize/ordered.h"
 #include "staging/snuqs.h"
 
@@ -299,18 +299,6 @@ TEST(Fingerprint, StructuralNotNominal) {
 
 // --- equivalence and concurrency ----------------------------------------
 
-TEST(Session, MatchesLegacySimulatorOnThreeFamilies) {
-  const SessionConfig cfg = small_config();
-  const Session session(cfg);
-  const Simulator simulator{SimulatorConfig(cfg)};
-  for (const Circuit& c :
-       {circuits::qft(7), circuits::ghz(7), circuits::ising(7)}) {
-    EXPECT_EQ(amplitudes(session.simulate(c)),
-              amplitudes(simulator.simulate(c)))
-        << c.name();
-  }
-}
-
 TEST(Session, SubmitMatchesSynchronousSimulate) {
   const Session session(small_config());
   const Circuit c = circuits::wstate(7);
@@ -334,10 +322,11 @@ TEST(Session, ConcurrentSubmitFromManyThreadsIsBitIdentical) {
       circuits::dj(7),    circuits::wstate(7), circuits::qft(7),
       circuits::qsvm(7),  circuits::ghz(7)};
 
-  // Sequential ground truth through the legacy shim.
-  const Simulator simulator{SimulatorConfig(cfg)};
+  // Sequential ground truth from a second session with the same config.
+  const Session sequential(cfg);
   std::vector<std::vector<Amp>> expected;
-  for (const Circuit& c : jobs) expected.push_back(amplitudes(simulator.simulate(c)));
+  for (const Circuit& c : jobs)
+    expected.push_back(amplitudes(sequential.simulate(c)));
 
   // Four caller threads race submissions into the session.
   std::vector<std::future<SimulationResult>> futures(jobs.size());
@@ -367,14 +356,14 @@ TEST(Session, ConcurrentSubmitFromManyThreadsIsBitIdentical) {
   EXPECT_EQ(session.plan_cache_stats().hits, hits_before + jobs.size());
 }
 
-TEST(Session, SimulateBatchAlignsResults) {
+TEST(Session, SubmittedBatchAlignsResults) {
   const Session session(small_config());
-  std::vector<Circuit> batch = {circuits::qft(7), circuits::ghz(7)};
-  const auto results = session.simulate_batch(batch);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(amplitudes(results[0]),
+  // Both jobs are in flight before either is collected.
+  auto qft = session.submit(circuits::qft(7));
+  auto ghz = session.submit(circuits::ghz(7));
+  EXPECT_EQ(amplitudes(qft.get()),
             amplitudes(session.simulate(circuits::qft(7))));
-  EXPECT_EQ(amplitudes(results[1]),
+  EXPECT_EQ(amplitudes(ghz.get()),
             amplitudes(session.simulate(circuits::ghz(7))));
 }
 
@@ -469,7 +458,7 @@ TEST(Session, ConstantParameterVariantsShareOnePlanButNotValues) {
   EXPECT_EQ(session.plan_cache_stats().hits, 1u);
   EXPECT_NE(amplitudes(r1), amplitudes(r2));  // but distinct physics
   EXPECT_EQ(amplitudes(r2),
-            amplitudes(Simulator{SimulatorConfig(small_config())}.simulate(c2)));
+            amplitudes(Session(small_config()).simulate(c2)));
 }
 
 std::atomic<int> sweep_stager_calls{0};

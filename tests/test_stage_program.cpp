@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "circuits/families.h"
+#include "common/bits.h"
 #include "core/session.h"
+#include "exec/dist_state.h"
+#include "exec/stage_program.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "sim/reference.h"
@@ -83,6 +86,183 @@ TEST(StageProgram, InsularCasesOnNonlocalQubitsMatchReference) {
   const Session session(shaped(4, 2, 1));
   const SimulationResult result = session.simulate(c);
   EXPECT_LT(result.state.gather().max_abs_diff(simulate_reference(c)), 1e-8);
+}
+
+// --- one directed test per shard-specialization case -------------------
+// Each runs a circuit as a single stage on 5 qubits with 3 local ones:
+// physical order q0 q1 q4 | q2 q3, so q2 is shard bit 0 and q3 shard
+// bit 1 (4 shards). Every gate lands in one kernel, fusion and shm in
+// turn. The test checks that the compiled skeleton holds the case under
+// test, so staging cannot make it vanish, and that the gathered state
+// matches the reference simulator from the same initial state.
+
+using Case = exec::StageSkeleton::GateSlot::Case;
+
+constexpr double kCaseTol = 1e-12;
+
+exec::Layout case_layout() {
+  const std::vector<Qubit> order = {0, 1, 4, 2, 3};
+  exec::Layout l;
+  l.num_local = 3;
+  l.phys_of_logical.assign(order.size(), -1);
+  l.logical_of_phys = order;
+  for (int p = 0; p < static_cast<int>(order.size()); ++p)
+    l.phys_of_logical[order[static_cast<std::size_t>(p)]] = p;
+  return l;
+}
+
+struct StageRun {
+  exec::StageSkeleton skeleton;
+  exec::StageProgram program;
+  StateVector state;
+};
+
+/// Compiles `c` as one kernel of `type` under case_layout(), runs it on
+/// every shard of `initial` and gathers the result, as execute_plan's
+/// stage walk does.
+StageRun run_as_one_stage(const Circuit& c, kernelize::KernelType type,
+                          const StateVector& initial) {
+  kernelize::Kernel kernel;
+  kernel.type = type;
+  for (int i = 0; i < c.num_gates(); ++i) kernel.gate_indices.push_back(i);
+  kernelize::Kernelization kernels;
+  kernels.kernels.push_back(kernel);
+  const exec::Layout layout = case_layout();
+  StageRun run;
+  run.skeleton = exec::compile_stage_skeleton(c, kernels, layout);
+  run.program = exec::bind_stage_program(c, run.skeleton, ParamEnv{});
+  exec::DistState state = exec::DistState::scatter(initial, layout);
+  std::vector<Amp> scratch;
+  for (int s = 0; s < state.num_shards(); ++s)
+    exec::run_stage_program(run.program, s, state.shard(s).data(),
+                            state.shard_size(), scratch);
+  state.layout().shard_xor = run.program.final_xor;
+  run.state = state.gather();
+  return run;
+}
+
+/// The case of each gate of the stage, in gate order.
+std::vector<Case> cases_of(const exec::StageSkeleton& skeleton) {
+  std::vector<Case> cases;
+  for (const auto& kernel : skeleton.kernels)
+    for (const auto& slot : kernel.slots) cases.push_back(slot.kind);
+  return cases;
+}
+
+/// A random state with every amplitude whose qubit q differs from
+/// `value` zeroed: it lives only on the shards where q reads `value`.
+StateVector random_state_with(Qubit q, bool value, std::uint64_t seed) {
+  StateVector sv = StateVector::random(5, seed);
+  for (Index i = 0; i < sv.size(); ++i)
+    if (test_bit(i, q) != value) sv[i] = Amp(0, 0);
+  return sv;
+}
+
+const kernelize::KernelType kBothTypes[] = {
+    kernelize::KernelType::Fusion, kernelize::KernelType::SharedMemory};
+
+TEST(StageProgramCase, CtrlSkipsShardsWhereNonlocalControlIsZero) {
+  Circuit c(5, "ctrl0");
+  c.add(Gate::cx(2, 0));
+  const StateVector initial = random_state_with(2, false, 11);
+  for (const auto type : kBothTypes) {
+    const StageRun run = run_as_one_stage(c, type, initial);
+    ASSERT_EQ(cases_of(run.skeleton), std::vector<Case>{Case::Ctrl});
+    // Pattern 0 (q2 = 0) fires nothing: those shards skip the gate.
+    const auto& kernel = run.skeleton.kernels[0];
+    ASSERT_EQ(kernel.pattern_bits, std::vector<int>{0});
+    EXPECT_TRUE(kernel.variants[0].ops.empty());
+    EXPECT_LT(run.state.max_abs_diff(initial), kCaseTol);
+    EXPECT_LT(run.state.max_abs_diff(simulate_reference(c, initial)),
+              kCaseTol);
+  }
+}
+
+TEST(StageProgramCase, CtrlDropsNonlocalControlThatIsOne) {
+  Circuit c(5, "ctrl1");
+  c.add(Gate::cx(2, 0));
+  c.add(Gate::ccx(3, 1, 4));  // one local and one non-local control
+  const StateVector initial = random_state_with(2, true, 12);
+  for (const auto type : kBothTypes) {
+    const StageRun run = run_as_one_stage(c, type, initial);
+    ASSERT_EQ(cases_of(run.skeleton),
+              (std::vector<Case>{Case::Ctrl, Case::Ctrl}));
+    // Pattern 1 (q2 = 1, q3 = 0) fires cx alone, as an uncontrolled X.
+    const auto& kernel = run.skeleton.kernels[0];
+    ASSERT_EQ(kernel.pattern_bits, (std::vector<int>{0, 1}));
+    ASSERT_EQ(kernel.variants[1].ops.size(), 1u);
+    EXPECT_EQ(kernel.variants[1].ops[0].slot, 0);
+    EXPECT_TRUE(kernel.slots[0].controls.empty());
+    EXPECT_EQ(kernel.slots[1].controls, std::vector<int>{1});
+    EXPECT_LT(run.state.max_abs_diff(simulate_reference(c, initial)),
+              kCaseTol);
+    EXPECT_GT(run.state.max_abs_diff(initial), 0.01);  // the gate acted
+  }
+}
+
+TEST(StageProgramCase, DiagRestrictKeepsLocalPartOfDiagonal) {
+  Circuit c(5, "diag_restrict");
+  c.add(Gate::cp(2, 0, 0.7));
+  c.add(Gate::rzz(3, 4, 0.4));
+  const StateVector initial = StateVector::random(5, 13);
+  for (const auto type : kBothTypes) {
+    const StageRun run = run_as_one_stage(c, type, initial);
+    ASSERT_EQ(cases_of(run.skeleton),
+              (std::vector<Case>{Case::DiagRestrict, Case::DiagRestrict}));
+    EXPECT_LT(run.state.max_abs_diff(simulate_reference(c, initial)),
+              kCaseTol);
+  }
+}
+
+TEST(StageProgramCase, DiagScaleWhenEveryQubitIsNonlocal) {
+  Circuit c(5, "diag_scale");
+  c.add(Gate::cp(2, 3, 0.7));
+  c.add(Gate::rz(3, 0.4));
+  const StateVector initial = StateVector::random(5, 14);
+  for (const auto type : kBothTypes) {
+    const StageRun run = run_as_one_stage(c, type, initial);
+    ASSERT_EQ(cases_of(run.skeleton),
+              (std::vector<Case>{Case::DiagScale, Case::DiagScale}));
+    // Only scalars remain: no shard runs a matrix.
+    for (const auto& variant : run.skeleton.kernels[0].variants)
+      EXPECT_TRUE(variant.ops.empty());
+    EXPECT_LT(run.state.max_abs_diff(simulate_reference(c, initial)),
+              kCaseTol);
+  }
+}
+
+TEST(StageProgramCase, AntidiagXFlipsShardMapping) {
+  Circuit c(5, "antidiag_x");
+  c.add(Gate::x(2));
+  c.add(Gate::cp(2, 0, 0.9));  // reads q2 through the flipped mapping
+  const StateVector initial = StateVector::random(5, 15);
+  for (const auto type : kBothTypes) {
+    const StageRun run = run_as_one_stage(c, type, initial);
+    ASSERT_EQ(cases_of(run.skeleton),
+              (std::vector<Case>{Case::Antidiag, Case::DiagRestrict}));
+    EXPECT_EQ(run.program.final_xor, Index{1});
+    EXPECT_LT(run.state.max_abs_diff(simulate_reference(c, initial)),
+              kCaseTol);
+  }
+}
+
+TEST(StageProgramCase, AntidiagYScalesShardsByPlusAndMinusI) {
+  Circuit c(5, "antidiag_y");
+  c.add(Gate::y(2));
+  const StateVector initial = StateVector::random(5, 16);
+  for (const auto type : kBothTypes) {
+    const StageRun run = run_as_one_stage(c, type, initial);
+    ASSERT_EQ(cases_of(run.skeleton), std::vector<Case>{Case::Antidiag});
+    EXPECT_EQ(run.program.final_xor, Index{1});
+    // Y|0> = i|1> and Y|1> = -i|0>: shards that held q2 = 0 pick up +i,
+    // those that held q2 = 1 pick up -i.
+    const auto& variants = run.program.kernels[0]->variants;
+    ASSERT_EQ(variants.size(), 2u);
+    EXPECT_EQ(variants[0].scale, Amp(0, 1));
+    EXPECT_EQ(variants[1].scale, Amp(0, -1));
+    EXPECT_LT(run.state.max_abs_diff(simulate_reference(c, initial)),
+              kCaseTol);
+  }
 }
 
 TEST(StageProgram, SweepBitIdenticalToPerBindingSimulate) {

@@ -7,9 +7,9 @@
 // Part two measures the device backend's batched-launch amortization:
 // a 32-point parameter sweep on an offloading shape (8 DRAM shards
 // through 2 modeled GPUs), batched execute_batch() — one staging
-// arena, one command queue, one constant bind per stage — against the
-// same sweep as 32 independent execute() calls, each paying the full
-// buffer/queue/bind lifecycle. Results are asserted bit-identical
+// arena, one constant bind per stage — against the same sweep as 32
+// independent execute() calls, each paying the full arena/bind
+// lifecycle. Results are asserted bit-identical
 // in-bench before any timing is trusted; full mode gates batched at
 // >= 2x per-point. --smoke shrinks the workload and skips the gate
 // (shared CI workers are noisy); --json PATH emits a
@@ -185,8 +185,8 @@ int run(bool smoke, const char* json_path) {
 
   print_header(
       "Device backend — batched launches vs per-point lifecycle",
-      "one command list per stage per sweep: constants bind once, "
-      "points enqueue only their parameter delta",
+      "one execute_batch per sweep: constants bind once per stage, "
+      "later points bind only their parameter delta",
       smoke ? "8-point sweep, 8 DRAM shards / 2 modeled GPUs (smoke)"
             : "32-point sweep, 8 DRAM shards / 2 modeled GPUs");
 

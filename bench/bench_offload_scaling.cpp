@@ -4,10 +4,11 @@
 //
 // Part two runs the same GPU ladder through the device backend's
 // batched launches: a parameter sweep over 16 DRAM shards, batched
-// execute_batch() vs per-point execute(), at 1/2/4 modeled GPUs. More
-// exec tokens mean more concurrent launches for the command queue to
-// overlap with staging copies, so the batched advantage should hold
-// across the ladder (no wall-time gate here — bench_offload owns it).
+// execute_batch() vs per-point execute(), at 1/2/4 modeled GPUs. Each
+// modeled GPU stages its shards in its own cluster-pool task, so more
+// GPUs replay more shards at once and the batched advantage should
+// hold across the ladder (no wall-time gate here — bench_offload owns
+// it).
 // Exits non-zero when any ladder row is not bit-identical ("exact NO").
 
 #include <algorithm>

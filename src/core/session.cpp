@@ -320,8 +320,9 @@ void Session::run_points(
     });
     return;
   }
-  // Batched launches: each batch ships as one command list per stage
-  // (constant kernels bind once, every point enqueues only its delta).
+  // Batched launches: each batch is one execute_batch() call (constant
+  // kernels bind once per stage, every later point binds only its
+  // delta).
   // Every batch point's state is resident at once, so `batch` bounds
   // peak memory. The states are allocated and freed on this thread, so
   // consecutive batches reuse one allocator arena.

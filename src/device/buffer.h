@@ -4,9 +4,10 @@
 /// Staged-traffic accounting for the device backend
 /// (exec/device_executor.h). Shard data reaches a kernel replay only
 /// through a metered H2D copy into a staging slot of the runner's arena,
-/// and leaves only through a metered D2H copy (device/command_queue.h),
-/// so every byte of staging traffic lands in the device.upload_bytes /
-/// device.download_bytes obs counters. buffer_stats() reads those two.
+/// and leaves only through a metered D2H copy, both made by the GPU's
+/// pool task (exec/device_executor.cpp), so every byte of staging
+/// traffic lands in the device.upload_bytes / device.download_bytes obs
+/// counters. buffer_stats() reads those two.
 
 #include <cstdint>
 

@@ -26,10 +26,9 @@ struct ClusterConfig {
   int gpus_per_node = 0;
   /// Worker threads for per-shard parallelism (0 = hardware).
   int num_threads = 0;
-  /// Capacity ceiling for the device backend's staging arena (two
-  /// slots per physical GPU), in bytes; 0 = unlimited. The "device"
-  /// executor refuses clusters whose double-buffered staging footprint
-  /// exceeds this, and "auto" surfaces the refusal as a typed capacity
+  /// Capacity ceiling for the device backend's staging arena (one
+  /// slot per physical GPU), in bytes; 0 = unlimited. The "device"
+  /// executor refuses clusters whose staging footprint exceeds this, and "auto" surfaces the refusal as a typed capacity
   /// error when no backend is left.
   std::uint64_t max_staging_bytes = 0;
 

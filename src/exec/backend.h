@@ -9,11 +9,11 @@
 ///    configured for DRAM offloading (typed atlas::Error) so capacity
 ///    mistakes surface at session construction, not mid-run.
 ///  * "device"   — device-style backend (exec/device_executor.h):
-///    explicit buffer lifecycle, an async command queue overlapping
-///    copies with kernel replay, and batched launches that amortize
-///    per-point setup across a sweep or trajectory batch. Serves DRAM
-///    offloading shapes, where shards outnumber GPUs and swap through
-///    them (Section VII-C).
+///    every shard copied into a GPU's staging slot, replayed there and
+///    copied back, and batched launches that amortize per-point setup
+///    across a sweep or trajectory batch. Serves DRAM offloading
+///    shapes, where shards outnumber GPUs and swap through them
+///    (Section VII-C).
 ///
 /// SessionConfig::executor also accepts "auto", which make_executor()
 /// resolves once per cluster shape to one of the two.
@@ -51,9 +51,9 @@ class ExecutorBackend {
 
   /// True when this backend amortizes per-point work across a batch on
   /// `cfg`-shaped clusters: Session::sweep()/run_noisy() then route
-  /// whole point sets through execute_batch() (one command list per
-  /// stage, bind-many deltas) instead of fanning execute() out per
-  /// point.
+  /// whole point sets through execute_batch() (one staging arena and
+  /// one constant bind per stage, bind-many deltas) instead of fanning
+  /// execute() out per point.
   virtual bool batched_launches(const device::ClusterConfig&) const {
     return false;
   }

@@ -1,6 +1,7 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -12,15 +13,14 @@
 
 namespace atlas::exec {
 
-void InPlaceRunner::run(std::shared_ptr<const StageProgram> program,
-                        DistState& state) {
+void InPlaceRunner::run(const StageProgram& program, DistState& state) {
   const Index shard_size = state.shard_size();
   cluster_.pool().parallel_for(
       static_cast<std::size_t>(state.num_shards()), [&](std::size_t s) {
         obs::TraceSpan shard_span(obs::names::kSpanExecShard,
                                   static_cast<std::int64_t>(s));
         std::vector<Amp> scratch;
-        run_stage_program(*program, static_cast<int>(s),
+        run_stage_program(program, static_cast<int>(s),
                           state.shard(static_cast<int>(s)).data(), shard_size,
                           scratch);
       });
@@ -89,7 +89,7 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
     // same skeleton share its parameter-independent kernels and bind
     // only their delta.
     std::shared_ptr<const StageSkeleton> base_skeleton;
-    std::shared_ptr<const StageProgram> base;
+    std::optional<StageProgram> base;
     for (std::size_t p = 0; p < points.size(); ++p) {
       DistState& state = *points[p].state;
       const ParamEnv& env = points[p].env;
@@ -127,19 +127,18 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
             return compile_stage_skeleton(stage.subcircuit, stage.kernels,
                                           state.layout());
           });
-      auto program = std::make_shared<const StageProgram>(bind_stage_program(
+      StageProgram program = bind_stage_program(
           stage.subcircuit, *skeleton, env,
-          skeleton == base_skeleton ? base.get() : nullptr));
-      if (!base) {
-        base = program;
-        base_skeleton = skeleton;
-      }
+          skeleton == base_skeleton ? &*base : nullptr);
       bind_span.end();
 
       sr.stats += metered;
-      const Index final_xor = program->final_xor;
-      runner.run(std::move(program), state);
-      state.layout().shard_xor = final_xor;
+      runner.run(program, state);
+      state.layout().shard_xor = program.final_xor;
+      if (!base) {
+        base = std::move(program);
+        base_skeleton = skeleton;
+      }
       sr.compute_seconds = t.seconds();
 
       ExecutionReport& report = reports[p];
@@ -148,9 +147,6 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
       report.compute_seconds += sr.compute_seconds;
       report.stages.push_back(std::move(sr));
     }
-    // Stage barrier: every point's shards are replayed before the next
-    // stage remaps them.
-    runner.barrier();
     stage_span.end();
     stage_us.observe(stage_timer.seconds() * 1e6);
     ++stage_index;

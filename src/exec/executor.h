@@ -76,26 +76,22 @@ struct BatchPoint {
 
 /// The shard-replay seam of the plan walk: how one point's bound stage
 /// reaches its shards. In place, the shards are replayed on the
-/// cluster pool; the device backend stages them through a command
-/// queue instead (exec/device_executor.cpp).
+/// cluster pool; the device backend stages each one through a GPU's
+/// slot instead (exec/device_executor.cpp).
 class ShardRunner {
  public:
   virtual ~ShardRunner() = default;
-  /// Replays `program` on every shard of `state`. May return before the
-  /// replay finishes; the walk calls barrier() before the next stage.
-  virtual void run(std::shared_ptr<const StageProgram> program,
-                   DistState& state) = 0;
-  /// Blocks until every replay run() started has finished.
-  virtual void barrier() {}
+  /// Replays `program` on every shard of `state`; returns once every
+  /// shard holds its result.
+  virtual void run(const StageProgram& program, DistState& state) = 0;
 };
 
 /// In-place replay: the point's shards run directly on the host buffers
-/// over the cluster pool, and run() returns once they all finished.
+/// over the cluster pool.
 class InPlaceRunner final : public ShardRunner {
  public:
   explicit InPlaceRunner(const device::Cluster& cluster) : cluster_(cluster) {}
-  void run(std::shared_ptr<const StageProgram> program,
-           DistState& state) override;
+  void run(const StageProgram& program, DistState& state) override;
 
  private:
   const device::Cluster& cluster_;
@@ -105,10 +101,9 @@ class InPlaceRunner final : public ShardRunner {
 /// remaps into the stage's partition, binds the stage (cached skeleton;
 /// later points delta-bind against the first point's program, so their
 /// parameter-independent kernels are shared), and hands the program to
-/// `runner`; one barrier closes the stage. Plans hold only gate
-/// *structure*: symbolic parameters resolve against each point's
-/// env.slots (dense slot table, canonical plans) or env.named (free user
-/// symbols). Passing a plan with unbound symbols and an empty env throws
+/// `runner`. Plans hold only gate *structure*: symbolic parameters
+/// resolve against each point's env.slots (dense slot table, canonical
+/// plans) or env.named (free user symbols). Passing a plan with unbound symbols and an empty env throws
 /// atlas::Error. Returns one report per point, in order; results are
 /// bit-identical to walking each point alone.
 std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,

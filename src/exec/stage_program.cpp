@@ -371,13 +371,6 @@ std::shared_ptr<const StageSkeleton> StageSkeletonCache::get_or_build(
   return cached_;
 }
 
-StageProgram compile_stage_program(const Circuit& subcircuit,
-                                   const kernelize::Kernelization& kernels,
-                                   const Layout& layout, const ParamEnv& env) {
-  return bind_stage_program(
-      subcircuit, compile_stage_skeleton(subcircuit, kernels, layout), env);
-}
-
 void run_stage_program(const StageProgram& prog, int shard, Amp* data,
                        Index size, std::vector<Amp>& scratch) {
   for (const std::shared_ptr<const KernelProgram>& kpp : prog.kernels) {

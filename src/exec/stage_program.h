@@ -2,8 +2,9 @@
 
 /// \file stage_program.h
 /// Bind-time stage compilation: the layer between execution plans and
-/// the per-shard loop. compile_stage_program() runs once per stage per
-/// run and hoists everything shard-invariant out of the hot loop:
+/// the per-shard loop. Binding a stage (compile_stage_skeleton() +
+/// bind_stage_program()) runs once per stage per point and hoists
+/// everything shard-invariant out of the hot loop:
 ///
 ///  * parameter materialization — every gate matrix is built by
 ///    resolving its Params against a ParamEnv (dense slot indexing for
@@ -106,7 +107,7 @@ struct KernelProgram {
 /// share the parameter-independent ones (the bind-many delta: a sweep
 /// re-materializes only the kernels whose gates read a swept slot —
 /// constant matrices, fusion products, and shm tables bind once and
-/// are replayed by every queue launch of the batch).
+/// are replayed by every launch of the batch).
 struct StageProgram {
   std::vector<std::shared_ptr<const KernelProgram>> kernels;
   /// shard_xor in effect after the stage (anti-diagonal non-local gates
@@ -224,15 +225,6 @@ class StageSkeletonCache {
   Mutex mu_;
   std::shared_ptr<const StageSkeleton> cached_ ATLAS_GUARDED_BY(mu_);
 };
-
-/// Compiles one planned stage (its subcircuit + kernelization) against
-/// `layout` and `env`: compile_stage_skeleton + bind_stage_program in
-/// one uncached call. Throws atlas::Error when a symbolic parameter
-/// cannot be resolved or a non-insular qubit is not local (staging
-/// bug).
-StageProgram compile_stage_program(const Circuit& subcircuit,
-                                   const kernelize::Kernelization& kernels,
-                                   const Layout& layout, const ParamEnv& env);
 
 /// Executes a compiled stage on one shard's buffer. `scratch` is
 /// caller-provided shared-memory staging storage reused across kernels.

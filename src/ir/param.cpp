@@ -98,15 +98,18 @@ double Param::evaluate(const ParamBinding& binding) const {
 int Param::slot_index() const {
   if (constant_ != 0.0 || terms_.size() != 1) return -1;
   const auto& [sym, coeff] = terms_.front();
+  return coeff == 1.0 ? slot_id(sym) : -1;
+}
+
+int Param::slot_id(const std::string& name) {
   // <= 9 digits keeps the accumulator below INT_MAX; longer strings are
   // user-minted '$' symbols, never engine slots.
-  if (coeff != 1.0 || sym.size() < 2 || sym.size() > 10 || sym[0] != '$')
-    return -1;
+  if (name.size() < 2 || name.size() > 10 || name[0] != '$') return -1;
   int index = 0;
-  for (std::size_t i = 1; i < sym.size(); ++i) {
-    const unsigned char ch = static_cast<unsigned char>(sym[i]);
+  for (std::size_t i = 1; i < name.size(); ++i) {
+    const unsigned char ch = static_cast<unsigned char>(name[i]);
     if (std::isdigit(ch) == 0) return -1;
-    index = index * 10 + (sym[i] - '0');
+    index = index * 10 + (name[i] - '0');
   }
   return index;
 }

@@ -93,6 +93,11 @@ class Param {
   /// execution layer resolves them by indexing a SlotValues table.
   int slot_index() const;
 
+  /// The slot id when `name` is an engine slot symbol ("$" and 1 to 9
+  /// digits), else -1. The one parser of slot names: slot_index() and
+  /// the verifier both use it.
+  static int slot_id(const std::string& name);
+
   /// The distinct symbol names, ascending.
   std::vector<std::string> symbols() const;
 

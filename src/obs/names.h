@@ -3,9 +3,9 @@
 /// \file names.h
 /// The canonical catalog of metric and span names. Names are part of
 /// the operator-facing contract (dashboards, `atlas-servectl metrics`,
-/// trace viewers key on them), so — like verify::Code — the catalog is
-/// **append-only**: never rename or delete an entry, add a new one and
-/// deprecate the old in docs/OBSERVABILITY.md.
+/// trace viewers key on them), so never rename an entry: add a new one
+/// and deprecate the old in docs/OBSERVABILITY.md. An entry is deleted
+/// only together with the code that emitted it.
 ///
 /// Every registration site must name its metric through a constant in
 /// this file; `atlas-lint --metrics-catalog src/obs/names.h` (run in
@@ -54,9 +54,7 @@ inline constexpr char kExecRemapBytes[] = "exec.remap_bytes";
 /// String-keyed ParamBinding lookups (at()/contains()).
 inline constexpr char kIrBindingLookups[] = "ir.binding_lookups";
 
-// --- device backend (device/command_queue.cpp,
-// --- exec/device_executor.cpp) ----------------------------------------
-inline constexpr char kDeviceQueueDepth[] = "device.queue.depth";
+// --- device backend (exec/device_executor.cpp) -----------------------
 inline constexpr char kDeviceUploadBytes[] = "device.upload_bytes";
 inline constexpr char kDeviceDownloadBytes[] = "device.download_bytes";
 inline constexpr char kDeviceConstUploads[] = "device.const_uploads";
@@ -90,8 +88,6 @@ inline constexpr char kSpanExecBind[] = "exec.bind";
 inline constexpr char kSpanExecShard[] = "exec.shard";
 inline constexpr char kSpanExecRemap[] = "exec.remap";
 inline constexpr char kSpanNoiseBatch[] = "noise.batch";
-/// No longer emitted: device walks record exec.stage like every walk.
-inline constexpr char kSpanDeviceStage[] = "device.stage";
 inline constexpr char kSpanDeviceBatch[] = "device.batch";
 inline constexpr char kSpanDeviceH2D[] = "device.h2d";
 inline constexpr char kSpanDeviceD2H[] = "device.d2h";

@@ -1,7 +1,6 @@
 #include "verify/verify.h"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -109,14 +108,6 @@ std::pair<int, int> kind_arity(GateKind kind) {
   return {-1, -1};
 }
 
-/// The slot id when `name` is an engine slot symbol "$<digits>", else -1.
-int slot_id_of(const std::string& name) {
-  if (name.size() < 2 || name[0] != '$') return -1;
-  for (std::size_t i = 1; i < name.size(); ++i)
-    if (std::isdigit(static_cast<unsigned char>(name[i])) == 0) return -1;
-  return std::stoi(name.substr(1));
-}
-
 /// Shared circuit walk. `require_dense_slots` is on for whole circuits
 /// (the canonical-form contract) and off for stage subcircuits, which
 /// legally reference a subset of the plan's slots. `stage` tags the
@@ -181,7 +172,7 @@ void check_circuit_core(const Circuit& circuit, VerifyLevel level,
       bool has_slot_symbol = false;
       for (const auto& [sym, coeff] : p.terms()) {
         (void)coeff;
-        if (slot_id_of(sym) >= 0) has_slot_symbol = true;
+        if (Param::slot_id(sym) >= 0) has_slot_symbol = true;
       }
       if (!has_slot_symbol) continue;
       const int id = p.slot_index();

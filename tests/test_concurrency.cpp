@@ -1,5 +1,7 @@
 // Concurrent-session stress tests: many threads hammering one
-// atlas::Session (compile/run/sweep/submit/plan-cache churn) and one
+// atlas::Session (compile/run/sweep/submit/plan-cache churn), on an
+// in-memory shape and on a DRAM-offloading one that runs the device
+// backend, and one
 // serve::SessionStore (open/get/run/close racing the TTL purge
 // thread). These exist to run under ThreadSanitizer in CI — the
 // assertions are deliberately light; the sanitizer is the real check.
@@ -8,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,8 +33,13 @@ SessionConfig stress_config() {
   return cfg;
 }
 
-TEST(ConcurrencyStress, ManyThreadsHammerOneSession) {
-  Session session(stress_config());
+/// Many threads compiling, running, sweeping and churning the plan
+/// cache of one session built from `cfg`, whose "auto" executor must
+/// resolve to `executor`.
+void hammer_one_session(const SessionConfig& cfg, const std::string& executor) {
+  SCOPED_TRACE(executor);
+  Session session(cfg);
+  ASSERT_EQ(session.executor().name(), executor);
   const Circuit qft = circuits::qft(7);
   const Circuit ghz = circuits::ghz(7);
 
@@ -93,6 +101,17 @@ TEST(ConcurrencyStress, ManyThreadsHammerOneSession) {
   // Counters stayed coherent through the churn.
   const PlanCacheStats stats = session.plan_cache_stats();
   EXPECT_LE(stats.size, stats.capacity);
+}
+
+TEST(ConcurrencyStress, ManyThreadsHammerOneSession) {
+  hammer_one_session(stress_config(), "inmemory");
+  // One GPU per node for two shards: "auto" picks the device backend,
+  // whose per-GPU staging tasks then share the two-thread cluster pool
+  // with every other caller's.
+  SessionConfig offloading = stress_config();
+  offloading.cluster.gpus_per_node = 1;
+  offloading.cluster.num_threads = 2;
+  hammer_one_session(offloading, "device");
 }
 
 TEST(ConcurrencyStress, SessionStoreOpenGetRunCloseRacingPurge) {

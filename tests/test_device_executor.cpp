@@ -5,27 +5,18 @@
 // traffic stays exact: every shard crosses each way once per stage per
 // point, constants upload once per stage per batch, and delta binding
 // pays K + (N-1)*P kernel binds for an N-point batch instead of N*K.
-// The CommandQueue is exercised directly for ordering, error
-// propagation, and teardown under load (the TSan job runs this whole
-// binary, so the stress tests double as race detectors).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "circuits/families.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "core/session.h"
 #include "device/buffer.h"
-#include "device/command_queue.h"
 #include "exec/backend.h"
 #include "exec/device_executor.h"
 #include "exec/executor.h"
@@ -233,24 +224,28 @@ TEST(DeviceExecutor, RunNoisyBitIdenticalToInmemory) {
 TEST(DeviceStaging, SweepStagesEveryShardExactlyOncePerStagePerPoint) {
   // An N-point sweep over K stages and S shards stages each shard
   // through a slot once per stage per point: exactly N*K*S*shard_bytes
-  // each way, on the obs counters and through buffer_stats().
+  // each way, on the obs counters and through buffer_stats(), and
+  // exactly N*K*S launches.
   const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(make_ansatz(6, 2));
   const std::vector<std::vector<double>> points = sweep_points(compiled, 8);
   obs::Counter& up = obs::counter(obs::names::kDeviceUploadBytes);
   obs::Counter& down = obs::counter(obs::names::kDeviceDownloadBytes);
+  obs::Counter& launches = obs::counter(obs::names::kDeviceLaunches);
   const device::BufferStats before = device::buffer_stats();
   const std::uint64_t up0 = up.value(), down0 = down.value();
+  const std::uint64_t launches0 = launches.value();
   ASSERT_EQ(dev.sweep(compiled, points).size(), points.size());
 
   const device::ClusterConfig& cfg = dev.cluster().config();
   const std::uint64_t stages = compiled.plan()->stages.size();
   const std::uint64_t shards = cfg.num_shards();
   const std::uint64_t shard_bytes = sizeof(Amp) << cfg.local_qubits;
-  const std::uint64_t expected =
-      points.size() * stages * shards * shard_bytes;
+  const std::uint64_t staged = points.size() * stages * shards;
+  const std::uint64_t expected = staged * shard_bytes;
   ASSERT_GT(stages, 0u);
   EXPECT_EQ(shards, 4u);
+  EXPECT_EQ(launches.value() - launches0, staged);
   EXPECT_EQ(up.value() - up0, expected);
   EXPECT_EQ(down.value() - down0, expected);
   const device::BufferStats after = device::buffer_stats();
@@ -315,7 +310,7 @@ TEST(DeviceStaging, DeltaBindPaysConstantsOncePerBatch) {
 
 TEST(DeviceCapacity, TypedCapacityErrorWhenStagingArenaExceedsCap) {
   SessionConfig cfg = shaped("device", 5, 2, 0, /*gpus=*/2);
-  cfg.cluster.max_staging_bytes = 64;  // far below 2 slots/GPU
+  cfg.cluster.max_staging_bytes = 64;  // far below 1 slot/GPU
   try {
     const Session session(cfg);
     FAIL() << "expected capacity error";
@@ -323,6 +318,25 @@ TEST(DeviceCapacity, TypedCapacityErrorWhenStagingArenaExceedsCap) {
     EXPECT_EQ(e.code(), ErrorCode::capacity) << e.what();
   }
   EXPECT_GT(exec::device_staging_bytes(cfg.cluster), 64u);
+}
+
+TEST(DeviceCapacity, StagingArenaIsOneShardSlotPerGpu) {
+  // 2 GPUs x 2^5-amplitude shards: the arena is exactly two slots.
+  SessionConfig cfg = shaped("device", 5, 2, 0, /*gpus=*/2);
+  const std::uint64_t need = exec::device_staging_bytes(cfg.cluster);
+  EXPECT_EQ(need, 2u * (sizeof(Amp) << 5));
+
+  cfg.cluster.max_staging_bytes = need;
+  const Session fits(cfg);
+  EXPECT_EQ(fits.executor().name(), "device");
+
+  cfg.cluster.max_staging_bytes = need - 1;
+  try {
+    const Session session(cfg);
+    FAIL() << "expected capacity error one byte under the arena";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::capacity) << e.what();
+  }
 }
 
 TEST(DeviceCapacity, AutoReportsTypedCapacityErrorWhenNoBackendFits) {
@@ -357,123 +371,6 @@ TEST(DeviceCapacity, AutoPrefersDeviceOnOffloadingShapes) {
   offloads.simulate(c);
   EXPECT_GT(launches.value(), before_dev)
       << "auto must route offloading shapes through the device backend";
-}
-
-// -------------------------------------------------------------------
-// CommandQueue: ordering, error propagation, teardown under load.
-// -------------------------------------------------------------------
-
-TEST(CommandQueue, PipelinedRoundsProduceOrderedResults) {
-  ThreadPool pool(3);
-  constexpr std::size_t kAmps = 64;
-  constexpr int kRounds = 10;
-  const std::size_t bytes = kAmps * sizeof(Amp);
-  std::vector<std::vector<Amp>> host(kRounds, std::vector<Amp>(kAmps));
-  for (int r = 0; r < kRounds; ++r)
-    for (std::size_t i = 0; i < kAmps; ++i)
-      host[r][i] = Amp(static_cast<double>(r), static_cast<double>(i));
-  // One exec token, two slots — the double-buffered steady state. The
-  // slots and the host rows outlive the queue.
-  std::vector<std::vector<Amp>> slots(2, std::vector<Amp>(kAmps));
-  device::CommandQueue queue(pool, 1, 2);
-
-  for (int r = 0; r < kRounds; ++r) {
-    const int slot = r & 1;
-    Amp* buf = slots[static_cast<std::size_t>(slot)].data();
-    queue.enqueue_h2d(buf, host[r].data(), bytes, slot);
-    queue.enqueue_launch(
-        [buf]() {
-          for (std::size_t i = 0; i < kAmps; ++i) buf[i] *= 2.0;
-        },
-        /*exec_token=*/0, slot);
-    queue.enqueue_d2h(buf, host[r].data(), bytes, slot);
-  }
-  queue.sync();
-  for (int r = 0; r < kRounds; ++r)
-    for (std::size_t i = 0; i < kAmps; ++i)
-      ASSERT_EQ(host[r][i],
-                Amp(2.0 * r, 2.0 * static_cast<double>(i)))
-          << "round " << r << " amp " << i;
-}
-
-TEST(CommandQueue, SyncRethrowsFirstLaunchError) {
-  ThreadPool pool(2);
-  device::CommandQueue queue(pool, 1, 1);
-  queue.enqueue_launch(
-      []() { throw Error("injected launch failure", ErrorCode::internal); },
-      0, 0);
-  queue.enqueue_launch([]() {}, 0, 0);  // queue keeps draining after
-  try {
-    queue.sync();
-    FAIL() << "expected the launch error to surface from sync()";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
-  }
-  queue.sync();  // error is consumed; the queue stays usable
-}
-
-TEST(CommandQueue, TeardownUnderLoadDrainsEveryCommand) {
-  constexpr std::size_t kAmps = 256;
-  constexpr int kRounds = 32;
-  const std::size_t bytes = kAmps * sizeof(Amp);
-  obs::Counter& up = obs::counter(obs::names::kDeviceUploadBytes);
-  obs::Counter& down = obs::counter(obs::names::kDeviceDownloadBytes);
-  ThreadPool pool(4);
-  for (int iter = 0; iter < 20; ++iter) {
-    const std::uint64_t up0 = up.value(), down0 = down.value();
-    std::vector<Amp> host(kAmps, Amp(1.0, -1.0));
-    std::vector<std::vector<Amp>> slots(4, std::vector<Amp>(kAmps));
-    {
-      device::CommandQueue queue(pool, 2, 4);
-      for (int r = 0; r < kRounds; ++r) {
-        const int slot = r & 3;
-        Amp* buf = slots[static_cast<std::size_t>(slot)].data();
-        queue.enqueue_h2d(buf, host.data(), bytes, slot);
-        queue.enqueue_launch(
-            [buf]() {
-              for (std::size_t i = 0; i < kAmps; ++i) buf[i] += 1.0;
-            },
-            r & 1, slot);
-        queue.enqueue_d2h(buf, host.data(), bytes, slot);
-      }
-      // No sync: the destructor must drain every queued command and
-      // wait out in-flight launches before the slots die — under TSan
-      // this is the teardown-under-load race check.
-    }
-    EXPECT_EQ(up.value() - up0, kRounds * bytes);
-    EXPECT_EQ(down.value() - down0, kRounds * bytes);
-    // The slot-per-round FIFO chain makes every round's copy-in,
-    // increment, copy-out land in order: 32 increments in total.
-    for (std::size_t i = 0; i < kAmps; ++i)
-      ASSERT_EQ(host[i], Amp(1.0 + kRounds, -1.0)) << "iter " << iter;
-  }
-}
-
-TEST(CommandQueue, DestructorReturnsAfterLaunchCapturesAreReleased) {
-  // The launch's capture sleeps in its destructor before raising the
-  // flag, so a queue that reports the launch finished while its
-  // closure is still alive returns from ~CommandQueue with the flag
-  // down.
-  struct SlowRelease {
-    explicit SlowRelease(std::atomic<bool>* flag) : released(flag) {}
-    std::atomic<bool>* released;
-    ~SlowRelease() {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      released->store(true);
-    }
-  };
-  ThreadPool pool(2);
-  std::atomic<bool> released{false};
-  {
-    device::CommandQueue queue(pool, 1, 1);
-    auto capture = std::make_shared<SlowRelease>(&released);
-    queue.enqueue_launch(
-        [capture = std::move(capture)] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        },
-        0, 0);
-  }
-  EXPECT_TRUE(released.load());
 }
 
 }  // namespace

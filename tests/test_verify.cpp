@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "circuits/families.h"
 #include "core/pipeline.h"
+#include "core/session.h"
 #include "exec/executor.h"
 #include "exec/stage_program.h"
 #include "ir/circuit.h"
@@ -95,6 +97,34 @@ TEST(VerifyCircuit, DenseSlotsPass) {
   c.add(Gate::rx(0, Param::symbol("$0")));
   c.add(Gate::rz(1, Param::symbol("$1")));
   EXPECT_TRUE(clean(verify::verify_circuit(c, VerifyLevel::paranoid)));
+}
+
+TEST(VerifyCircuit, OverlongDollarSymbolIsNotASlot) {
+  // "$" + 11 digits is a user-minted symbol, not an engine slot: the
+  // verifier reads slot names with Param's rule (at most 9 digits)
+  // instead of overflowing an integer parse.
+  Circuit c(4);
+  c.add(Gate::rx(0, Param::symbol("$99999999999")));
+  c.add(Gate::cx(0, 1));
+  try {
+    EXPECT_TRUE(clean(verify::verify_circuit(c, VerifyLevel::paranoid)));
+  } catch (const std::out_of_range& e) {
+    ADD_FAILURE() << "verify_circuit threw std::out_of_range: " << e.what();
+  }
+
+  SessionConfig cfg;
+  cfg.cluster.local_qubits = 3;
+  cfg.cluster.regional_qubits = 1;
+  cfg.cluster.gpus_per_node = 2;
+  cfg.cluster.num_threads = 1;
+  cfg.verify_level = VerifyLevel::boundaries;
+  const Session session(cfg);
+  try {
+    const CompiledCircuit compiled = session.compile(c);
+    EXPECT_EQ(compiled.symbols().size(), 1u);
+  } catch (const std::out_of_range& e) {
+    ADD_FAILURE() << "Session::compile threw std::out_of_range: " << e.what();
+  }
 }
 
 // --- staging invariants -------------------------------------------------

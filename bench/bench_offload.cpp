@@ -4,9 +4,10 @@
 // average; the crossover shape to reproduce: equal at the
 // fits-in-memory size, then an order-of-magnitude-plus gap.
 //
-// Part two measures the device backend's batched-launch amortization:
+// Part two measures the device runner's batched-launch amortization:
 // a 32-point parameter sweep on an offloading shape (8 DRAM shards
-// through 2 modeled GPUs), batched execute_batch() — one staging
+// through 2 modeled GPUs, so the session's executor stages every shard
+// through the device runner), batched execute_batch() — one staging
 // arena, one constant bind per stage — against the same sweep as 32
 // independent execute() calls, each paying the full arena/bind
 // lifecycle. Results are asserted bit-identical
@@ -123,7 +124,6 @@ BatchedOutcome batched_vs_per_point(bool smoke) {
   const int reps = smoke ? 1 : 3;
 
   SessionConfig cfg;
-  cfg.executor = "device";
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = 0;
@@ -184,7 +184,7 @@ int run(bool smoke, const char* json_path) {
   const double fig7_geomean = figure7(local);
 
   print_header(
-      "Device backend — batched launches vs per-point lifecycle",
+      "Device runner — batched launches vs per-point lifecycle",
       "one execute_batch per sweep: constants bind once per stage, "
       "later points bind only their parameter delta",
       smoke ? "8-point sweep, 8 DRAM shards / 2 modeled GPUs (smoke)"

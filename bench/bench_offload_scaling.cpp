@@ -2,9 +2,10 @@
 // fixed over-memory qft circuit on 1, 2 and 4 GPUs (the paper's
 // contrast: QDAO stays flat when given more GPUs; Atlas speeds up).
 //
-// Part two runs the same GPU ladder through the device backend's
+// Part two runs the same GPU ladder through the device runner's
 // batched launches: a parameter sweep over 16 DRAM shards, batched
-// execute_batch() vs per-point execute(), at 1/2/4 modeled GPUs. Each
+// execute_batch() vs per-point execute(), at 1/2/4 modeled GPUs. Every
+// rung offloads, so the session's executor picks the device runner. Each
 // modeled GPU stages its shards in its own cluster-pool task, so more
 // GPUs replay more shards at once and the batched advantage should
 // hold across the ladder (no wall-time gate here — bench_offload owns
@@ -89,7 +90,7 @@ bool batched_ladder(bool smoke) {
   const int reps = smoke ? 1 : 3;
 
   print_header(
-      "Device backend — batched-launch speedup across the GPU ladder",
+      "Device runner — batched-launch speedup across the GPU ladder",
       "batched execute_batch vs per-point execute, 16 DRAM shards",
       smoke ? "8-point sweep through 1/2/4 modeled GPUs (smoke)"
             : "16-point sweep through 1/2/4 modeled GPUs");
@@ -99,7 +100,6 @@ bool batched_ladder(bool smoke) {
   bool all_identical = true;
   for (int gpus : {1, 2, 4}) {
     SessionConfig cfg;
-    cfg.executor = "device";
     cfg.cluster.local_qubits = local;
     cfg.cluster.regional_qubits = regional;
     cfg.cluster.global_qubits = 0;

@@ -134,8 +134,9 @@ BaselineResult run_baseline(BaselineKind kind, const Circuit& circuit,
   BaselineResult result;
   result.plan = plan_baseline(kind, circuit, config);
   device::Cluster cluster(config.cluster);
-  result.state = exec::initial_state(result.plan, cluster);
-  result.report = exec::execute_plan(result.plan, cluster, result.state);
+  const exec::Executor executor;
+  result.state = executor.initial_state(result.plan, cluster);
+  result.report = executor.execute(result.plan, cluster, result.state, {});
   return result;
 }
 

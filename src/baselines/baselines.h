@@ -35,7 +35,9 @@ struct BaselineResult {
   exec::DistState state;
 };
 
-/// Plans and executes the baseline end to end from |0...0>.
+/// Plans and executes the baseline end to end from |0...0> through
+/// exec::Executor, so offloading shapes stage shards through the
+/// device runner as Atlas' own runs do.
 BaselineResult run_baseline(BaselineKind kind, const Circuit& circuit,
                             const SessionConfig& config);
 

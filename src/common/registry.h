@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file registry.h
-/// String-keyed factory registry shared by the pluggable backend seams
-/// (staging::Stager, kernelize::Kernelizer, exec::ExecutorBackend).
+/// String-keyed factory registry shared by the pluggable engine seams
+/// (staging::Stager, kernelize::Kernelizer).
 /// New engines register under a name at startup (or any time before
 /// first use) and become selectable from SessionConfig without touching
 /// core headers — the module-registration discipline of large C

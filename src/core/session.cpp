@@ -167,7 +167,6 @@ Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
       engine_salt_(engine_salt_of(config_)),
       stager_(staging::stager_registry().create(config_.stager)),
       kernelizer_(kernelize::kernelizer_registry().create(config_.kernelizer)),
-      executor_(exec::make_executor(config_.executor, config_.cluster)),
       pipeline_([this] {
         CompilePipeline::Config pc;
         pc.shape = shape_of(config_);
@@ -197,7 +196,7 @@ Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
 Session::~Session() {
   // Drain in-flight submit() jobs before any member goes away; the
   // pool's destructor finishes queued tasks, and everything they touch
-  // (cluster, cache, backends) outlives it by member order.
+  // (cluster, cache, engines) outlives it by member order.
   dispatch_pool_.reset();
   // After the drain every span this session could emit has been
   // recorded; the matching stop() writes the trace file when this was
@@ -295,7 +294,7 @@ SimulationResult Session::result_shell(const CompiledCircuit& compiled,
   f.mix(compiled.plan_key());
   for (double v : result.slot_values) f.mix_double(v);
   result.seed = rng_stream_seed(config_.seed, f.value());
-  result.state = executor_->initial_state(*result.plan, cluster_);
+  result.state = executor_.initial_state(*result.plan, cluster_);
   return result;
 }
 
@@ -305,7 +304,7 @@ SimulationResult Session::run_point(const CompiledCircuit& compiled,
   ParamEnv env;
   env.slots = &result.slot_values;
   result.report =
-      executor_->execute(*result.plan, cluster_, result.state, env);
+      executor_.execute(*result.plan, cluster_, result.state, env);
   return result;
 }
 
@@ -313,7 +312,7 @@ void Session::run_points(
     const CompiledCircuit& compiled, std::size_t count, std::size_t batch,
     const std::function<SlotValues(std::size_t)>& values,
     const std::function<void(std::size_t, SimulationResult&)>& sink) const {
-  if (!executor_->batched_launches(cluster_.config())) {
+  if (!executor_.batched_launches(cluster_.config())) {
     dispatch_each(count, [&](std::size_t i) {
       SimulationResult result = run_point(compiled, values(i));
       sink(i, result);
@@ -336,11 +335,7 @@ void Session::run_points(
       points[j].env.slots = &results[j].slot_values;
     }
     std::vector<exec::ExecutionReport> reports =
-        executor_->execute_batch(*compiled.plan(), cluster_, points);
-    ATLAS_CHECK(reports.size() == n,
-                "executor '" << executor_->name() << "' returned "
-                             << reports.size() << " batch reports for " << n
-                             << " points");
+        executor_.execute_batch(*compiled.plan(), cluster_, points);
     dispatch_each(n, [&](std::size_t j) {
       results[j].report = std::move(reports[j]);
       sink(begin + j, results[j]);
@@ -398,7 +393,7 @@ std::vector<SimulationResult> Session::sweep(
 
 exec::ExecutionReport Session::execute(const exec::ExecutionPlan& plan,
                                        exec::DistState& state) const {
-  return executor_->execute(plan, cluster_, state, ParamEnv{});
+  return executor_.execute(plan, cluster_, state, ParamEnv{});
 }
 
 exec::ExecutionReport Session::execute(const exec::ExecutionPlan& plan,
@@ -406,7 +401,7 @@ exec::ExecutionReport Session::execute(const exec::ExecutionPlan& plan,
                                        const ParamBinding& binding) const {
   ParamEnv env;
   env.named = &binding;
-  return executor_->execute(plan, cluster_, state, env);
+  return executor_.execute(plan, cluster_, state, env);
 }
 
 SimulationResult Session::simulate(const Circuit& circuit) const {

@@ -2,8 +2,9 @@
 
 /// \file session.h
 /// The Atlas engine API: a long-lived Session owning the simulated
-/// cluster, the backend engines (resolved by name from the pluggable
-/// registries), an LRU plan cache, and an async dispatch pool. It is
+/// cluster, the staging and kernelization engines (resolved by name
+/// from the pluggable registries), the executor (whose shard runner the
+/// cluster shape picks), an LRU plan cache, and an async dispatch pool. It is
 /// the only public engine. Its synchronous calls follow the paper's
 /// Algorithm 1: plan() is PARTITION (STAGE, then KERNELIZE per stage),
 /// execute() is EXECUTE, and simulate() runs a cached PARTITION then
@@ -15,7 +16,7 @@
 ///   cfg.cluster.global_qubits = 1;
 ///   cfg.cluster.gpus_per_node = 4;
 ///   cfg.stager = "bnb";                 // any registered staging engine
-///   atlas::Session session(cfg);        // validates cfg, resolves backends
+///   atlas::Session session(cfg);        // validates cfg, resolves engines
 ///
 ///   auto f1 = session.submit(atlas::circuits::qft(23));   // async
 ///   auto f2 = session.submit(atlas::circuits::ghz(23));
@@ -46,7 +47,7 @@
 #include "core/pipeline.h"
 #include "core/plan_cache.h"
 #include "device/cluster.h"
-#include "exec/backend.h"
+#include "exec/executor.h"
 #include "ir/circuit.h"
 #include "ir/param.h"
 #include "kernelize/kernelizer.h"
@@ -59,9 +60,10 @@ namespace noise {
 class NoiseModel;
 }
 
-/// Session construction knobs: the cluster shape, the staging and
-/// kernelization options and cost models, backend selection by registry
-/// name, and the plan-cache and dispatch shapes.
+/// Session construction knobs: the cluster shape (which also picks the
+/// shard runner, exec::Executor), the staging and kernelization options
+/// and cost models, engine selection by registry name, and the
+/// plan-cache and dispatch shapes.
 struct SessionConfig {
   device::ClusterConfig cluster;
   staging::StagingOptions staging;
@@ -74,10 +76,6 @@ struct SessionConfig {
   std::string stager = "auto";
   /// Kernelization engine (kernelize::kernelizer_registry() key).
   std::string kernelizer = "best";
-  /// Execution backend: an exec::executor_registry() key ("inmemory",
-  /// "device", or a user backend), or "auto", resolved once at Session
-  /// construction (exec::make_executor).
-  std::string executor = "auto";
   /// Plans retained in the LRU cache; 0 disables caching. Ignored by
   /// the Session constructor that takes a shared cache.
   std::size_t plan_cache_capacity = 64;
@@ -203,8 +201,10 @@ struct SimulationResult {
 class Session {
  public:
   /// Validates `config` (throws atlas::Error naming the offending
-  /// field) and resolves the three backends from their registries
-  /// (throws atlas::Error listing registered names on an unknown one).
+  /// field) and resolves the stager and kernelizer from their
+  /// registries (throws atlas::Error listing registered names on an
+  /// unknown one). The executor needs no name: the cluster shape picks
+  /// its shard runner.
   explicit Session(SessionConfig config);
   /// As above, but compile() looks plans up in `plan_cache`, which
   /// other sessions may share (config.plan_cache_capacity is ignored).
@@ -223,7 +223,7 @@ class Session {
 
   const staging::Stager& stager() const { return *stager_; }
   const kernelize::Kernelizer& kernelizer() const { return *kernelizer_; }
-  const exec::ExecutorBackend& executor() const { return *executor_; }
+  const exec::Executor& executor() const { return executor_; }
   /// The session's compile pipeline (optimizer introspection; the
   /// phases compile() runs are documented in core/pipeline.h).
   const CompilePipeline& pipeline() const { return *pipeline_; }
@@ -263,7 +263,7 @@ class Session {
 
   /// Runs `bindings` against one shared plan (the variational-sweep hot
   /// path): fanned across the dispatch pool, or as one execute_batch()
-  /// on backends with batched launches. Results are positionally
+  /// on offloading shapes (batched launches). Results are positionally
   /// aligned with `bindings`.
   std::vector<SimulationResult> sweep(const CompiledCircuit& compiled,
                                       std::vector<ParamBinding> bindings) const;
@@ -290,7 +290,7 @@ class Session {
   std::shared_ptr<const exec::ExecutionPlan> plan(const Circuit& circuit) const;
 
   /// EXECUTE: runs a plan over an existing distributed state via the
-  /// configured execution backend. The binding overload supplies
+  /// session's executor. The binding overload supplies
   /// values for plans holding symbolic parameters.
   exec::ExecutionReport execute(const exec::ExecutionPlan& plan,
                                 exec::DistState& state) const;
@@ -352,9 +352,9 @@ class Session {
   /// Runs `count` points of `compiled`, point i under values(i), and
   /// hands each finished result to sink(i, result), which may move from
   /// it. Both callbacks must be thread-safe: sink runs on the dispatch
-  /// pool. The one place the schedule is chosen: in-place backends fan
+  /// pool. The one place the schedule is chosen: in-place shapes fan
   /// the points out one per task, so each result is consumed and
-  /// dropped as it finishes; backends with batched_launches() run
+  /// dropped as it finishes; offloading shapes (batched_launches()) run
   /// `batch` points at a time through one execute_batch() call.
   /// Bit-identical either way.
   void run_points(
@@ -381,7 +381,7 @@ class Session {
   std::uint64_t engine_salt_ = 0;
   std::shared_ptr<const staging::Stager> stager_;
   std::shared_ptr<const kernelize::Kernelizer> kernelizer_;
-  std::shared_ptr<const exec::ExecutorBackend> executor_;
+  exec::Executor executor_;
   /// Owns phases optimize -> canonicalize -> stage -> kernelize ->
   /// program; compile() and plan() both route through it.
   std::unique_ptr<CompilePipeline> pipeline_;

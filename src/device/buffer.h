@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file buffer.h
-/// Staged-traffic accounting for the device backend
+/// Staged-traffic accounting for the device runner
 /// (exec/device_executor.h). Shard data reaches a kernel replay only
 /// through a metered H2D copy into a staging slot of the runner's arena,
 /// and leaves only through a metered D2H copy, both made by the GPU's

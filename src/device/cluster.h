@@ -6,7 +6,6 @@
 /// shard. Shard buffers live in host memory; the topology determines
 /// how data movement is metered and how work is scheduled.
 
-#include <cstdint>
 #include <memory>
 
 #include "common/error.h"
@@ -26,11 +25,6 @@ struct ClusterConfig {
   int gpus_per_node = 0;
   /// Worker threads for per-shard parallelism (0 = hardware).
   int num_threads = 0;
-  /// Capacity ceiling for the device backend's staging arena (one
-  /// slot per physical GPU), in bytes; 0 = unlimited. The "device"
-  /// executor refuses clusters whose staging footprint exceeds this, and "auto" surfaces the refusal as a typed capacity
-  /// error when no backend is left.
-  std::uint64_t max_staging_bytes = 0;
 
   int num_nodes() const { return 1 << global_qubits; }
   int shards_per_node() const { return 1 << regional_qubits; }
@@ -39,6 +33,8 @@ struct ClusterConfig {
   int total_qubits() const {
     return local_qubits + regional_qubits + global_qubits;
   }
+  /// Shards outnumber GPUs, so they swap through them: exec::Executor
+  /// then stages every shard through a GPU slot (exec::DeviceRunner).
   bool offloading() const { return gpus_per_node < shards_per_node(); }
 
   void validate() const;

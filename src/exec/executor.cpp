@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/timer.h"
+#include "exec/device_executor.h"
 #include "exec/remap.h"
 #include "exec/stage_program.h"
 #include "obs/metrics.h"
@@ -156,12 +157,27 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
   return reports;
 }
 
-ExecutionReport execute_plan(const ExecutionPlan& plan,
-                             const device::Cluster& cluster, DistState& state,
-                             const ParamEnv& env) {
-  InPlaceRunner runner(cluster);
-  return std::move(
-      execute_plan(plan, cluster, {BatchPoint{&state, env}}, runner).front());
+std::vector<ExecutionReport> Executor::execute_batch(
+    const ExecutionPlan& plan, const device::Cluster& cluster,
+    const std::vector<BatchPoint>& points) const {
+  if (points.empty()) return {};
+  if (!cluster.config().offloading()) {
+    InPlaceRunner runner(cluster);
+    return execute_plan(plan, cluster, points, runner);
+  }
+  static obs::Counter& batches = obs::counter(obs::names::kDeviceBatches);
+  static obs::Histogram& batch_size =
+      obs::histogram(obs::names::kDeviceBatchSize);
+  // Each stage's constant tables upload once for the whole batch.
+  static obs::Counter& const_uploads =
+      obs::counter(obs::names::kDeviceConstUploads);
+  batches.inc();
+  batch_size.observe(static_cast<double>(points.size()));
+  const_uploads.add(plan.stages.size());
+  obs::TraceSpan batch_span(obs::names::kSpanDeviceBatch,
+                            static_cast<std::int64_t>(points.size()));
+  DeviceRunner runner(cluster);
+  return execute_plan(plan, cluster, points, runner);
 }
 
 std::size_t approx_resident_bytes(const ExecutionPlan& plan) {

@@ -7,9 +7,11 @@
 /// kernels on every shard in parallel. Supports DRAM offloading: when
 /// the cluster has fewer GPUs than shards, shards are swapped through
 /// the GPUs and the staging traffic is metered. There is one walk; how
-/// shards reach a GPU is the ShardRunner's business.
+/// shards reach a GPU is the ShardRunner's business, and the cluster
+/// shape picks the runner (Executor).
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "device/cluster.h"
@@ -75,9 +77,10 @@ struct BatchPoint {
 };
 
 /// The shard-replay seam of the plan walk: how one point's bound stage
-/// reaches its shards. In place, the shards are replayed on the
-/// cluster pool; the device backend stages each one through a GPU's
-/// slot instead (exec/device_executor.cpp).
+/// reaches its shards. InPlaceRunner replays the shards on the cluster
+/// pool; DeviceRunner (exec/device_executor.h) stages each one through
+/// a GPU's slot instead. Executor picks one from the cluster shape;
+/// tests drive either through execute_plan() on any shape.
 class ShardRunner {
  public:
   virtual ~ShardRunner() = default;
@@ -111,16 +114,47 @@ std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
                                           const std::vector<BatchPoint>& points,
                                           ShardRunner& runner);
 
-/// The walk for one point with in-place replay.
-ExecutionReport execute_plan(const ExecutionPlan& plan,
-                             const device::Cluster& cluster, DistState& state,
-                             const ParamEnv& env = {});
-
 /// Convenience: build the initial distributed state for a plan (stage
 /// 0's partition as the initial layout, which is free — Eq. (2) only
 /// charges transitions).
 DistState initial_state(const ExecutionPlan& plan,
                         const device::Cluster& cluster);
+
+/// EXECUTE on a cluster, with the shard runner its shape calls for:
+/// DeviceRunner when the cluster offloads (shards outnumber GPUs and
+/// swap through them, Section VII-C), InPlaceRunner otherwise.
+class Executor {
+ public:
+  /// Builds the initial |0...0> state for `plan` (stage 0's partition
+  /// as the initial layout).
+  DistState initial_state(const ExecutionPlan& plan,
+                          const device::Cluster& cluster) const {
+    return exec::initial_state(plan, cluster);
+  }
+
+  /// True when `cfg` offloads: the device runner's staging arena and
+  /// constant binds are then paid once per execute_batch() call, so
+  /// Session::sweep()/run_noisy() route whole point sets through it
+  /// instead of fanning execute() out per point.
+  bool batched_launches(const device::ClusterConfig& cfg) const {
+    return cfg.offloading();
+  }
+
+  /// Runs `plan` once per point on `cluster` (execute_plan()), mutating
+  /// each point's state in place and returning one report per point, in
+  /// order, bit-identical to running each point alone.
+  std::vector<ExecutionReport> execute_batch(
+      const ExecutionPlan& plan, const device::Cluster& cluster,
+      const std::vector<BatchPoint>& points) const;
+
+  /// Runs `plan` over one state: a batch of one.
+  ExecutionReport execute(const ExecutionPlan& plan,
+                          const device::Cluster& cluster, DistState& state,
+                          const ParamEnv& env) const {
+    return std::move(
+        execute_batch(plan, cluster, {BatchPoint{&state, env}}).front());
+  }
+};
 
 /// Approximate heap footprint of a retained plan in bytes: gate
 /// storage (qubit/param vectors, Unitary matrices), stage partitions,

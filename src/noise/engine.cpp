@@ -33,12 +33,12 @@ namespace {
 /// outcome streams of the same trajectory.
 constexpr std::uint64_t kMeasureSalt = 0x6d65617375726531ull;
 
-/// Pauli-fast-path trajectories routed through a batched-launch
-/// executor go in chunks of this many points: within a chunk every
-/// trajectory's state is resident at once (the batch schedule needs
-/// them), so the chunk bounds peak memory the way the streaming
-/// per-trajectory path does, while still amortizing per-point executor
-/// setup across the chunk.
+/// Pauli-fast-path trajectories on an offloading shape (batched
+/// launches through the device runner) go in chunks of this many
+/// points: within a chunk every trajectory's state is resident at once
+/// (the batch schedule needs them), so the chunk bounds peak memory the
+/// way the streaming per-trajectory path does, while still amortizing
+/// per-point executor setup across the chunk.
 constexpr std::size_t kTrajectoryBatchChunk = 32;
 
 /// General-Kraus trajectory plans are memoized on the sampled outcome
@@ -221,8 +221,8 @@ noise::NoisyResult Session::run_noisy(
       } else {
         plan = build();
       }
-      exec::DistState state = executor_->initial_state(*plan, cluster_);
-      executor_->execute(*plan, cluster_, state, ParamEnv{});
+      exec::DistState state = executor_.initial_state(*plan, cluster_);
+      executor_.execute(*plan, cluster_, state, ParamEnv{});
       partials[t] = partial_of(state, readout, options.shots,
                                options.accumulate_probabilities, seed, t);
     });

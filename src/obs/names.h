@@ -54,7 +54,7 @@ inline constexpr char kExecRemapBytes[] = "exec.remap_bytes";
 /// String-keyed ParamBinding lookups (at()/contains()).
 inline constexpr char kIrBindingLookups[] = "ir.binding_lookups";
 
-// --- device backend (exec/device_executor.cpp) -----------------------
+// --- device runner (exec/device_executor.cpp, exec/executor.cpp) ----
 inline constexpr char kDeviceUploadBytes[] = "device.upload_bytes";
 inline constexpr char kDeviceDownloadBytes[] = "device.download_bytes";
 inline constexpr char kDeviceConstUploads[] = "device.const_uploads";

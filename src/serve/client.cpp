@@ -144,11 +144,11 @@ std::vector<SweepPoint> Client::sweep(
   }
   const std::vector<std::uint8_t> reply = call(Op::sweep, session_id, w.bytes());
   WireReader r(reply);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(12);  // norm_sq f64 + z count u32
   std::vector<SweepPoint> out(n);
   for (auto& p : out) {
     p.norm_sq = r.f64();
-    const std::uint32_t nq = r.u32();
+    const std::uint32_t nq = r.count(8);
     p.expectation_z.resize(nq);
     for (auto& z : p.expectation_z) z = r.f64();
   }
@@ -177,7 +177,7 @@ std::vector<std::uint64_t> Client::sample(std::uint64_t session_id,
   w.u32(static_cast<std::uint32_t>(shots));
   const std::vector<std::uint8_t> reply = call(Op::sample, session_id, w.bytes());
   WireReader r(reply);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8);
   std::vector<std::uint64_t> out(n);
   for (auto& s : out) s = r.u64();
   return out;
@@ -190,7 +190,7 @@ void Client::close_session(std::uint64_t session_id) {
 std::vector<SessionInfo> Client::list_sessions() {
   const std::vector<std::uint8_t> reply = call(Op::list_sessions, 0, {});
   WireReader r(reply);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8);  // at least the session id
   std::vector<SessionInfo> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(SessionInfo::decode(r));

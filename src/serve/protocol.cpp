@@ -96,7 +96,7 @@ void encode_strings(WireWriter& w, const std::vector<std::string>& v) {
 }
 
 std::vector<std::string> decode_strings(WireReader& r) {
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(4);  // each string's length prefix
   std::vector<std::string> v;
   v.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.str());
@@ -109,7 +109,7 @@ void encode_doubles(WireWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> decode_doubles(WireReader& r) {
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8);
   std::vector<double> v;
   v.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.f64());
@@ -186,7 +186,7 @@ NoisyReply NoisyReply::decode(WireReader& r) {
   q.mean_weight = r.f64();
   q.z_value = decode_doubles(r);
   q.z_std_error = decode_doubles(r);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(16);  // basis u64 + weight f64
   q.counts.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint64_t basis = r.u64();
@@ -271,7 +271,7 @@ void MetricsReply::encode(WireWriter& w) const {
 
 MetricsReply MetricsReply::decode(WireReader& r) {
   MetricsReply q;
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(13);  // name length, kind, one u64
   q.metrics.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     MetricEntry m;

@@ -126,6 +126,20 @@ class WireReader {
     const std::uint8_t* p = take(n);
     return std::string(reinterpret_cast<const char*>(p), n);
   }
+  /// Reads a u32 count of items that take at least `item_bytes` wire
+  /// bytes each, and throws invalid_argument unless the frame still
+  /// holds that many bytes, so no container is sized from a count the
+  /// frame cannot back.
+  std::uint32_t count(std::uint64_t item_bytes) {
+    const std::uint32_t n = u32();
+    if (item_bytes != 0 && n > remaining() / item_bytes) {
+      throw Error("truncated frame: " + std::to_string(n) + " items of " +
+                      std::to_string(item_bytes) + " bytes claimed, have " +
+                      std::to_string(remaining()),
+                  ErrorCode::invalid_argument);
+    }
+    return n;
+  }
 
   std::size_t remaining() const { return size_ - off_; }
   bool at_end() const { return off_ == size_; }

@@ -492,7 +492,7 @@ std::vector<std::uint8_t> Server::do_compile(ServeSession& session,
 std::vector<std::uint8_t> Server::do_run(ServeSession& session,
                                          WireReader& body) {
   const std::uint32_t compiled_id = body.u32();
-  const std::uint32_t num_values = body.u32();
+  const std::uint32_t num_values = body.count(8);
   std::vector<double> values(num_values);
   for (auto& v : values) v = body.f64();
 
@@ -514,7 +514,8 @@ void Server::do_sweep(const std::shared_ptr<RequestContext>& ctx,
                       WireReader& body) {
   const std::uint32_t compiled_id = body.u32();
   const std::uint32_t num_points = body.u32();
-  const std::uint32_t point_size = body.u32();
+  // num_points points of point_size doubles each follow.
+  const std::uint32_t point_size = body.count(8ull * num_points);
   auto points = std::make_shared<std::vector<std::vector<double>>>();
   points->reserve(num_points);
   for (std::uint32_t i = 0; i < num_points; ++i) {
@@ -590,7 +591,7 @@ std::vector<std::uint8_t> Server::do_run_noisy(ServeSession& session,
   noise::NoisyRunOptions options;
   options.trajectories = static_cast<int>(body.u32());
   options.shots = static_cast<int>(body.u32());
-  const std::uint32_t num_values = body.u32();
+  const std::uint32_t num_values = body.count(8);
   std::vector<double> values(num_values);
   for (auto& v : values) v = body.f64();
 

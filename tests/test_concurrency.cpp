@@ -34,12 +34,12 @@ SessionConfig stress_config() {
 }
 
 /// Many threads compiling, running, sweeping and churning the plan
-/// cache of one session built from `cfg`, whose "auto" executor must
-/// resolve to `executor`.
-void hammer_one_session(const SessionConfig& cfg, const std::string& executor) {
-  SCOPED_TRACE(executor);
+/// cache of one session built from `cfg`, whose shape must offload
+/// (device runner) exactly when `offloading` says so.
+void hammer_one_session(const SessionConfig& cfg, bool offloading) {
+  SCOPED_TRACE(offloading ? "offloading" : "in place");
   Session session(cfg);
-  ASSERT_EQ(session.executor().name(), executor);
+  ASSERT_EQ(session.cluster().config().offloading(), offloading);
   const Circuit qft = circuits::qft(7);
   const Circuit ghz = circuits::ghz(7);
 
@@ -104,14 +104,14 @@ void hammer_one_session(const SessionConfig& cfg, const std::string& executor) {
 }
 
 TEST(ConcurrencyStress, ManyThreadsHammerOneSession) {
-  hammer_one_session(stress_config(), "inmemory");
-  // One GPU per node for two shards: "auto" picks the device backend,
+  hammer_one_session(stress_config(), /*offloading=*/false);
+  // One GPU per node for two shards: the shape picks the device runner,
   // whose per-GPU staging tasks then share the two-thread cluster pool
   // with every other caller's.
   SessionConfig offloading = stress_config();
   offloading.cluster.gpus_per_node = 1;
   offloading.cluster.num_threads = 2;
-  hammer_one_session(offloading, "device");
+  hammer_one_session(offloading, /*offloading=*/true);
 }
 
 TEST(ConcurrencyStress, SessionStoreOpenGetRunCloseRacingPurge) {

@@ -1,10 +1,13 @@
-// Device-executor tests: the explicit-transfer backend must be
-// invisible to results — bit-identical to "inmemory" across randomized
-// circuits, shapes, sweeps, and noisy trajectory batches (including
-// derived seeds and measurement-sample streams) — while its staging
-// traffic stays exact: every shard crosses each way once per stage per
-// point, constants upload once per stage per batch, and delta binding
-// pays K + (N-1)*P kernel binds for an N-point batch instead of N*K.
+// Device-runner tests: the explicit-transfer shard runner must be
+// invisible to results — bit-identical to the in-place runner across
+// randomized circuits, shapes and multi-point batches, and an
+// offloading session (which the shape routes through the device
+// runner) bit-identical to in-place walks of its plan and to a
+// non-offloading session in sweeps and noisy trajectory batches —
+// while its staging traffic stays exact: every shard crosses each way
+// once per stage per point, constants upload once per stage per batch,
+// and delta binding pays K + (N-1)*P kernel binds for an N-point batch
+// instead of N*K.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +17,8 @@
 #include <vector>
 
 #include "circuits/families.h"
-#include "common/error.h"
 #include "core/session.h"
 #include "device/buffer.h"
-#include "exec/backend.h"
 #include "exec/device_executor.h"
 #include "exec/executor.h"
 #include "exec/stage_program.h"
@@ -64,11 +65,10 @@ std::vector<Amp> amplitudes(const SimulationResult& r) {
 }
 
 /// `gpus` defaults to the non-offloading 2^R; pass fewer to force the
-/// DRAM-offloading regime (shards outnumber modeled GPUs).
-SessionConfig shaped(const std::string& executor, int local, int regional,
-                     int global, int gpus = 0) {
+/// DRAM-offloading regime (shards outnumber modeled GPUs), which the
+/// session's executor runs on the device runner.
+SessionConfig shaped(int local, int regional, int global, int gpus = 0) {
   SessionConfig cfg;
-  cfg.executor = executor;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
@@ -98,75 +98,117 @@ std::vector<std::vector<double>> sweep_points(const CompiledCircuit& compiled,
   return points;
 }
 
-TEST(DeviceRegistry, DeviceBackendRegistered) {
-  EXPECT_TRUE(exec::executor_registry().contains("device"));
-  const auto backend = exec::executor_registry().create("device");
-  EXPECT_EQ(backend->name(), "device");
-  EXPECT_TRUE(backend->batched_launches(shaped("device", 4, 1, 0).cluster));
+/// The in-place walk of `plan` for one point, the reference every
+/// device-runner result must match bit for bit.
+exec::ExecutionReport walk_in_place(const exec::ExecutionPlan& plan,
+                                    const device::Cluster& cluster,
+                                    exec::DistState& state,
+                                    const SlotValues& values) {
+  exec::InPlaceRunner runner(cluster);
+  exec::BatchPoint point{&state, {}};
+  point.env.slots = &values;
+  return std::move(
+      exec::execute_plan(plan, cluster, {point}, runner).front());
 }
 
 // -------------------------------------------------------------------
-// Bit-identity: "device" vs "inmemory" on randomized circuits/shapes.
+// Bit-identity: DeviceRunner vs InPlaceRunner on randomized
+// circuits, shapes and batches.
 // -------------------------------------------------------------------
 
 class DeviceShapeTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(DeviceShapeTest, RandomCircuitsBitIdenticalToInmemory) {
+TEST_P(DeviceShapeTest, RandomCircuitsBitIdenticalToInPlace) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed * 7919);
   const int local = 4 + static_cast<int>(rng.index(2));  // 4..5
   const int regional = static_cast<int>(rng.index(3));   // 0..2
   const int global = static_cast<int>(rng.index(2));     // 0..1
+  // 1..2^R GPUs per node: offloading and non-offloading shapes alike.
+  const int gpus = 1 + static_cast<int>(rng.index(std::size_t{1} << regional));
   const int n = local + regional + global;
-  const Circuit c = circuits::random_circuit(n, 40, seed * 131);
+  Circuit c = circuits::random_circuit(n, 40, seed * 131);
+  c.add(Gate::rx(0, Param::symbol("theta")));
+  c.add(Gate::rz(n - 1, Param::symbol("gamma")));
 
-  const Session dev(shaped("device", local, regional, global));
-  const Session mem(shaped("inmemory", local, regional, global));
-  const SimulationResult rd = dev.simulate(c);
-  const SimulationResult rm = mem.simulate(c);
+  const Session session(shaped(local, regional, global, gpus));
+  const device::Cluster& cluster = session.cluster();
+  const CompiledCircuit compiled = session.compile(c);
+  const exec::ExecutionPlan& plan = *compiled.plan();
+  // Several points per batch, so later points delta-bind against the
+  // first point's program on both runners.
+  std::vector<SlotValues> values;
+  for (const std::vector<double>& p : sweep_points(compiled, 3, seed))
+    values.push_back(compiled.slot_values_from(p));
 
-  EXPECT_EQ(rd.seed, rm.seed) << "derived seeds diverged at seed " << seed;
-  const std::vector<Amp> ad = amplitudes(rd), am = amplitudes(rm);
-  ASSERT_EQ(ad.size(), am.size());
-  for (std::size_t i = 0; i < ad.size(); ++i)
-    ASSERT_EQ(ad[i], am[i]) << "amp " << i << " seed " << seed;
+  const auto walk_batch = [&](exec::ShardRunner& runner) {
+    std::vector<exec::DistState> states;
+    for (std::size_t i = 0; i < values.size(); ++i)
+      states.push_back(exec::initial_state(plan, cluster));
+    std::vector<exec::BatchPoint> points(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      points[i].state = &states[i];
+      points[i].env.slots = &values[i];
+    }
+    const std::vector<exec::ExecutionReport> reports =
+        exec::execute_plan(plan, cluster, points, runner);
+    EXPECT_EQ(reports.size(), values.size());
+    return states;
+  };
+  exec::DeviceRunner device_runner(cluster);
+  exec::InPlaceRunner in_place_runner(cluster);
+  const std::vector<exec::DistState> dev = walk_batch(device_runner);
+  const std::vector<exec::DistState> mem = walk_batch(in_place_runner);
+
+  for (std::size_t p = 0; p < values.size(); ++p) {
+    exec::DistState solo = exec::initial_state(plan, cluster);
+    walk_in_place(plan, cluster, solo, values[p]);
+    const std::vector<Amp> ad = dev[p].gather().amplitudes();
+    const std::vector<Amp> am = mem[p].gather().amplitudes();
+    const std::vector<Amp> as = solo.gather().amplitudes();
+    ASSERT_EQ(ad.size(), am.size());
+    for (std::size_t i = 0; i < ad.size(); ++i) {
+      ASSERT_EQ(ad[i], am[i]) << "amp " << i << " point " << p << " seed "
+                              << seed;
+      ASSERT_EQ(ad[i], as[i]) << "amp " << i << " point " << p << " seed "
+                              << seed;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeviceShapeTest, ::testing::Range(1, 9));
 
-TEST(DeviceExecutor, SweepBitIdenticalToInmemoryIncludingSampleStreams) {
-  const Circuit ansatz = make_ansatz(7, 2);
-  const Session dev(shaped("device", 4, 2, 1));
-  const Session mem(shaped("inmemory", 4, 2, 1));
-  const CompiledCircuit cd = dev.compile(ansatz);
-  const CompiledCircuit cm = mem.compile(ansatz);
-  const std::vector<std::vector<double>> points = sweep_points(cd, 12);
+TEST(DeviceExecutor, SweepBitIdenticalToInPlaceWalksOfItsPlan) {
+  // 8 shards through 2 modeled GPUs: the sweep is one batched device
+  // launch; each point must equal the in-place walk of the same plan.
+  const Session dev(shaped(4, 2, 1, /*gpus=*/2));
+  ASSERT_TRUE(dev.cluster().config().offloading());
+  const CompiledCircuit compiled = dev.compile(make_ansatz(7, 2));
+  const std::vector<std::vector<double>> points = sweep_points(compiled, 12);
 
-  const std::vector<SimulationResult> rd = dev.sweep(cd, points);
-  const std::vector<SimulationResult> rm = mem.sweep(cm, points);
-  ASSERT_EQ(rd.size(), rm.size());
+  const std::vector<SimulationResult> rd = dev.sweep(compiled, points);
+  ASSERT_EQ(rd.size(), points.size());
   for (std::size_t i = 0; i < rd.size(); ++i) {
-    EXPECT_EQ(rd[i].seed, rm[i].seed) << "point " << i;
-    EXPECT_EQ(amplitudes(rd[i]), amplitudes(rm[i])) << "point " << i;
-    // Repeated draws advance each result's internal sample counter the
-    // same way on both backends — the whole stream matches, not just
-    // the first shot batch.
-    EXPECT_EQ(rd[i].sample(8), rm[i].sample(8)) << "point " << i;
-    EXPECT_EQ(rd[i].sample(8), rm[i].sample(8)) << "point " << i;
+    exec::DistState state = exec::initial_state(*rd[i].plan, dev.cluster());
+    walk_in_place(*rd[i].plan, dev.cluster(), state, rd[i].slot_values);
+    EXPECT_EQ(amplitudes(rd[i]), state.gather().amplitudes())
+        << "point " << i;
   }
 }
 
 TEST(DeviceExecutor, OffloadingShapeMatchesPlanWalkAndItsMetering) {
-  // 4 shards/node on 1 modeled GPU: DRAM offloading. The device backend
+  // 4 shards/node on 1 modeled GPU: DRAM offloading. The device runner
   // must produce the same state as the in-place walk on the same shape
   // and meter the same modeled traffic, field for field.
-  const Session dev(shaped("device", 4, 2, 1, /*gpus=*/1));
+  const Session dev(shaped(4, 2, 1, /*gpus=*/1));
+  obs::Counter& launches = obs::counter(obs::names::kDeviceLaunches);
+  const std::uint64_t launches0 = launches.value();
   const SimulationResult rd = dev.simulate(circuits::qft(7));
+  EXPECT_GT(launches.value(), launches0)
+      << "an offloading shape must run on the device runner";
   exec::DistState state = exec::initial_state(*rd.plan, dev.cluster());
-  ParamEnv env;
-  env.slots = &rd.slot_values;
   const exec::ExecutionReport walked =
-      exec::execute_plan(*rd.plan, dev.cluster(), state, env);
+      walk_in_place(*rd.plan, dev.cluster(), state, rd.slot_values);
 
   EXPECT_EQ(amplitudes(rd), state.gather().amplitudes());
   EXPECT_GT(rd.report.totals.offload_bytes, 0u);
@@ -178,7 +220,7 @@ TEST(DeviceExecutor, OffloadingShapeMatchesPlanWalkAndItsMetering) {
 
 TEST(DeviceExecutor, BatchedSweepBitIdenticalToPerPointRuns) {
   const Circuit ansatz = make_ansatz(6, 2);
-  const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
+  const Session dev(shaped(4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(ansatz);
   const std::vector<std::vector<double>> points = sweep_points(compiled, 9);
 
@@ -202,10 +244,13 @@ TEST(DeviceExecutor, RunNoisyBitIdenticalToInmemory) {
   opts.shots = 12;
   opts.accumulate_probabilities = true;
 
+  // Same L/R/G; 1 GPU per node offloads (device runner), 2 do not
+  // (in place). Trajectory streams do not depend on the plan key, so
+  // counts, probabilities and <Z> must match bit for bit.
   const noise::NoisyResult rd =
-      Session(shaped("device", 3, 1, 1)).run_noisy(c, model, opts);
+      Session(shaped(3, 1, 1, /*gpus=*/1)).run_noisy(c, model, opts);
   const noise::NoisyResult rm =
-      Session(shaped("inmemory", 3, 1, 1)).run_noisy(c, model, opts);
+      Session(shaped(3, 1, 1)).run_noisy(c, model, opts);
 
   ASSERT_TRUE(rd.pauli_fast_path());
   EXPECT_EQ(rd.counts(), rm.counts());
@@ -226,7 +271,7 @@ TEST(DeviceStaging, SweepStagesEveryShardExactlyOncePerStagePerPoint) {
   // through a slot once per stage per point: exactly N*K*S*shard_bytes
   // each way, on the obs counters and through buffer_stats(), and
   // exactly N*K*S launches.
-  const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
+  const Session dev(shaped(4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(make_ansatz(6, 2));
   const std::vector<std::vector<double>> points = sweep_points(compiled, 8);
   obs::Counter& up = obs::counter(obs::names::kDeviceUploadBytes);
@@ -254,7 +299,7 @@ TEST(DeviceStaging, SweepStagesEveryShardExactlyOncePerStagePerPoint) {
 }
 
 TEST(DeviceStaging, ConstantsUploadOncePerStagePerBatch) {
-  const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
+  const Session dev(shaped(4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(make_ansatz(6, 2));
   const std::vector<std::vector<double>> points = sweep_points(compiled, 32);
   dev.sweep(compiled, points);  // warm the plan + skeleton caches
@@ -273,7 +318,7 @@ TEST(DeviceStaging, ConstantsUploadOncePerStagePerBatch) {
 }
 
 TEST(DeviceStaging, DeltaBindPaysConstantsOncePerBatch) {
-  const Session dev(shaped("device", 4, 2, 0, /*gpus=*/2));
+  const Session dev(shaped(4, 2, 0, /*gpus=*/2));
   const CompiledCircuit compiled = dev.compile(make_mixed_circuit(6));
   const std::vector<std::vector<double>> p1 = sweep_points(compiled, 1);
   dev.run(compiled, p1[0]);  // warm skeleton cache
@@ -305,72 +350,27 @@ TEST(DeviceStaging, DeltaBindPaysConstantsOncePerBatch) {
 }
 
 // -------------------------------------------------------------------
-// Capacity errors and auto-selection.
+// Runner selection.
 // -------------------------------------------------------------------
 
-TEST(DeviceCapacity, TypedCapacityErrorWhenStagingArenaExceedsCap) {
-  SessionConfig cfg = shaped("device", 5, 2, 0, /*gpus=*/2);
-  cfg.cluster.max_staging_bytes = 64;  // far below 1 slot/GPU
-  try {
-    const Session session(cfg);
-    FAIL() << "expected capacity error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::capacity) << e.what();
-  }
-  EXPECT_GT(exec::device_staging_bytes(cfg.cluster), 64u);
-}
-
-TEST(DeviceCapacity, StagingArenaIsOneShardSlotPerGpu) {
-  // 2 GPUs x 2^5-amplitude shards: the arena is exactly two slots.
-  SessionConfig cfg = shaped("device", 5, 2, 0, /*gpus=*/2);
-  const std::uint64_t need = exec::device_staging_bytes(cfg.cluster);
-  EXPECT_EQ(need, 2u * (sizeof(Amp) << 5));
-
-  cfg.cluster.max_staging_bytes = need;
-  const Session fits(cfg);
-  EXPECT_EQ(fits.executor().name(), "device");
-
-  cfg.cluster.max_staging_bytes = need - 1;
-  try {
-    const Session session(cfg);
-    FAIL() << "expected capacity error one byte under the arena";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::capacity) << e.what();
-  }
-}
-
-TEST(DeviceCapacity, AutoReportsTypedCapacityErrorWhenNoBackendFits) {
-  // Offloading shape rules out "inmemory"; the staging cap rules out
-  // "device" — "auto" must surface a typed capacity error naming both.
-  SessionConfig cfg = shaped("auto", 5, 2, 0, /*gpus=*/1);
-  cfg.cluster.max_staging_bytes = 64;
-  try {
-    const Session session(cfg);
-    FAIL() << "expected capacity error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::capacity) << e.what();
-    EXPECT_NE(std::string(e.what()).find("device"), std::string::npos);
-  }
-}
-
-TEST(DeviceCapacity, AutoPrefersDeviceOnOffloadingShapes) {
+TEST(DeviceExecutor, ShapePicksTheRunner) {
   obs::Counter& launches = obs::counter(obs::names::kDeviceLaunches);
   const Circuit c = circuits::ghz(6);
 
-  // "auto" is resolved once, at construction, to a concrete backend.
   const std::uint64_t before_mem = launches.value();
-  const Session fits(shaped("auto", 4, 1, 1));  // 2 GPUs, 2 shards/node
-  EXPECT_EQ(fits.executor().name(), "inmemory");
+  const Session fits(shaped(4, 1, 1));  // 2 GPUs, 2 shards/node
+  EXPECT_FALSE(fits.executor().batched_launches(fits.cluster().config()));
   fits.simulate(c);
   EXPECT_EQ(launches.value(), before_mem)
-      << "auto must keep using inmemory when every shard has a GPU";
+      << "a shape with one GPU per shard must run in place";
 
   const std::uint64_t before_dev = launches.value();
-  const Session offloads(shaped("auto", 4, 1, 1, /*gpus=*/1));
-  EXPECT_EQ(offloads.executor().name(), "device");
+  const Session offloads(shaped(4, 1, 1, /*gpus=*/1));
+  EXPECT_TRUE(
+      offloads.executor().batched_launches(offloads.cluster().config()));
   offloads.simulate(c);
   EXPECT_GT(launches.value(), before_dev)
-      << "auto must route offloading shapes through the device backend";
+      << "an offloading shape must run on the device runner";
 }
 
 }  // namespace

@@ -640,20 +640,40 @@ TEST(Serve, TruncatedBodyYieldsInvalidArgumentNotCrash) {
   open.tenant = "alice";
   const std::uint64_t sid = client.open_session(open);
 
-  // A run op against a live session whose body claims one value but
-  // carries none: the bounds-checked reader rejects it as
-  // invalid_argument instead of reading past the frame.
-  WireWriter w;
-  w.u64(5);
-  w.u16(static_cast<std::uint16_t>(Op::run));
-  w.u64(sid);
-  w.u32(1);  // compiled_id
-  w.u32(1);  // "one value follows" — but the frame ends here
-  ASSERT_TRUE(client.send_raw_frame(w.bytes()));
-  std::string message;
-  EXPECT_EQ(client.wait_status(5, nullptr, &message),
-            Status::invalid_argument);
-  EXPECT_NE(message.find("truncated frame"), std::string::npos);
+  // Bodies whose counts claim more values than the frame carries: the
+  // bounds-checked reader rejects each as invalid_argument before
+  // anything is sized from the count, instead of reading past the
+  // frame or allocating what the count asks for.
+  struct Case {
+    const char* what;
+    Op op;
+    std::vector<std::uint32_t> fields;  // after the session id
+  };
+  const std::vector<Case> cases = {
+      // compiled_id, "one value follows", but the frame ends here.
+      {"run claiming 1 value", Op::run, {1, 1}},
+      // 2^32-1 values (32 GiB of doubles) in a 30-byte frame.
+      {"run claiming 2^32-1 values", Op::run, {1, 0xffffffffu}},
+      // compiled_id, num_points, point_size: 8 x num_points x
+      // point_size overflows even 64 bits.
+      {"sweep whose points overflow", Op::sweep,
+       {1, 0xffffffffu, 0xffffffffu}},
+  };
+  std::uint64_t request_id = 5;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    WireWriter w;
+    w.u64(request_id);
+    w.u16(static_cast<std::uint16_t>(c.op));
+    w.u64(sid);
+    for (std::uint32_t f : c.fields) w.u32(f);
+    ASSERT_TRUE(client.send_raw_frame(w.bytes()));
+    std::string message;
+    EXPECT_EQ(client.wait_status(request_id, nullptr, &message),
+              Status::invalid_argument);
+    EXPECT_NE(message.find("truncated frame"), std::string::npos) << message;
+    ++request_id;
+  }
 
   // The same connection still serves well-formed requests.
   EXPECT_EQ(client.list_sessions().size(), 1u);
@@ -804,8 +824,8 @@ TEST(Serve, MetricsOpReportsSortedEntriesAndTenantLatency) {
 }
 
 TEST(Serve, MetricsRoundTripExportsDeviceCounters) {
-  // An offloading shape (8 shards through 1 GPU) makes "auto" route
-  // the daemon's sessions through the device backend; its device.*
+  // An offloading shape (8 shards through 1 GPU) routes the daemon's
+  // sessions through the device runner; its device.*
   // counters must then survive the wire round trip. The shape must
   // total the 8 qubits of the ansatz fixture.
   ServerConfig cfg = test_server_config();

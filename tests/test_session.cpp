@@ -47,9 +47,6 @@ TEST(Registry, BuiltinsRegistered) {
     EXPECT_TRUE(staging::stager_registry().contains(name)) << name;
   for (const char* name : {"dp", "ordered", "greedy", "best"})
     EXPECT_TRUE(kernelize::kernelizer_registry().contains(name)) << name;
-  // Only concrete backends: "auto" is resolved by exec::make_executor.
-  EXPECT_EQ(exec::executor_registry().names(),
-            (std::vector<std::string>{"device", "inmemory"}));
 }
 
 TEST(Registry, UnknownNameThrowsListingRegistered) {
@@ -70,9 +67,6 @@ TEST(Registry, SessionRejectsUnknownBackendNames) {
   EXPECT_THROW(Session{cfg}, Error);
   cfg = small_config();
   cfg.kernelizer = "no-such-kernelizer";
-  EXPECT_THROW(Session{cfg}, Error);
-  cfg = small_config();
-  cfg.executor = "no-such-executor";
   EXPECT_THROW(Session{cfg}, Error);
 }
 
@@ -585,50 +579,6 @@ TEST(PlanKey, IncludesClusterShape) {
   for (Qubit q = 0; q < 7; ++q) p2.add(Gate::rz(q, 0.50));
   EXPECT_EQ(a.plan_key(p1), a.plan_key(p2));
   EXPECT_NE(a.plan_key(p1), b.plan_key(p1));
-}
-
-// --- executor backends --------------------------------------------------
-
-TEST(ExecutorBackend, InMemoryRefusesOffloadClusters) {
-  SessionConfig cfg = small_config();
-  cfg.cluster.gpus_per_node = 1;  // 2 shards/node -> offloading
-  cfg.executor = "inmemory";
-  // Refused at construction, before any state is allocated.
-  try {
-    Session session(cfg);
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("inmemory"), std::string::npos);
-  }
-
-  // "device" serves the shape: same state and same metering as the
-  // in-place plan walk on it.
-  cfg.executor = "device";
-  const Session device_session(cfg);
-  const SimulationResult r = device_session.simulate(circuits::qft(7));
-  exec::DistState state =
-      exec::initial_state(*r.plan, device_session.cluster());
-  ParamEnv env;
-  env.slots = &r.slot_values;
-  const exec::ExecutionReport walked =
-      exec::execute_plan(*r.plan, device_session.cluster(), state, env);
-  EXPECT_EQ(amplitudes(r), amplitudes(state));
-  EXPECT_GT(r.report.totals.offload_bytes, 0u);
-  const device::CommStats& a = r.report.totals;
-  const device::CommStats& b = walked.totals;
-  EXPECT_EQ(a.intra_gpu_bytes, b.intra_gpu_bytes);
-  EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
-  EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
-  EXPECT_EQ(a.offload_bytes, b.offload_bytes);
-  EXPECT_EQ(a.kernel_bytes, b.kernel_bytes);
-  EXPECT_EQ(a.alltoall_rounds, b.alltoall_rounds);
-
-  // "auto" must route offload clusters to the device backend.
-  cfg.executor = "auto";
-  const Session auto_session(cfg);
-  EXPECT_EQ(auto_session.executor().name(), "device");
-  EXPECT_EQ(amplitudes(auto_session.simulate(circuits::qft(7))),
-            amplitudes(r));
 }
 
 // --- kernelize_best ------------------------------------------------------

@@ -28,7 +28,7 @@ void sweep(int num_qubits, int min_local, int step) {
       shape.num_global =
           std::max(0, std::min(num_qubits - local - 2, num_qubits - local));
       shape.num_regional = num_qubits - local - shape.num_global;
-      const auto atlas_staged = staging::stage_circuit(c, shape, "bnb");
+      const auto atlas_staged = staging::stage_with_bnb(c, shape);
       const auto snuqs_staged = staging::stage_with_snuqs(c, shape);
       atlas_stages.push_back(static_cast<double>(atlas_staged.stages.size()));
       snuqs_stages.push_back(static_cast<double>(snuqs_staged.stages.size()));

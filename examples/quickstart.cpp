@@ -24,9 +24,8 @@ int main() {
 
   // Machine shape: 2^10 amplitudes per GPU, 4 GPUs per node (2
   // regional qubits), 2 nodes (1 global qubit). The Session validates
-  // this shape up front and resolves its stager and kernelizer
-  // ("auto"/"best" by default) from the registries; with a GPU per
-  // shard, the executor replays shards in place.
+  // this shape up front; with a GPU per shard, the executor replays
+  // shards in place.
   SessionConfig cfg;
   cfg.cluster.local_qubits = 10;
   cfg.cluster.regional_qubits = 2;

@@ -25,7 +25,7 @@ enum class ErrorCode {
   internal = 0,
   /// The caller passed something malformed or out of range.
   invalid_argument = 1,
-  /// A named entity (registry key, session, handle) does not exist.
+  /// A named entity (optimizer pass, session, handle) does not exist.
   not_found = 2,
   /// A bounded resource (store, queue, admission budget) is full.
   capacity = 3,

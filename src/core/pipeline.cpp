@@ -54,13 +54,8 @@ Circuit canonicalize(const Circuit& circuit,
 
 }  // namespace
 
-CompilePipeline::CompilePipeline(
-    Config config, std::shared_ptr<const staging::Stager> stager,
-    std::shared_ptr<const kernelize::Kernelizer> kernelizer)
-    : config_(std::move(config)),
-      passes_(config_.opt),
-      stager_(std::move(stager)),
-      kernelizer_(std::move(kernelizer)) {
+CompilePipeline::CompilePipeline(Config config)
+    : config_(std::move(config)), passes_(config_.opt) {
   pass_ctx_.num_local_qubits = config_.shape.num_local;
   pass_ctx_.options = config_.opt.pass;
 }
@@ -92,7 +87,7 @@ exec::ExecutionPlan CompilePipeline::build_plan(const Circuit& circuit,
   Timer t;
   obs::TraceSpan stage_span(obs::names::kSpanCompileStage);
   const staging::StagedCircuit staged =
-      stager_->stage(circuit, config_.shape, config_.staging);
+      staging::stage_circuit(circuit, config_.shape, config_.staging);
   staging::validate_staging(circuit, staged, config_.shape);
   if (config_.verify != verify::VerifyLevel::off)
     check_phase(verify::verify_staged(circuit, staged, config_.shape), diag);
@@ -118,8 +113,8 @@ exec::ExecutionPlan CompilePipeline::build_plan(const Circuit& circuit,
     ps.original_indices = stage.gate_indices;
     ps.partition = stage.partition;
     ps.subcircuit = circuit.subcircuit(stage.gate_indices);
-    ps.kernels = kernelizer_->kernelize(ps.subcircuit, config_.cost_model,
-                                        config_.kernelize);
+    ps.kernels = kernelize::kernelize_best(ps.subcircuit, config_.cost_model,
+                                           config_.kernelize);
     kernelize::validate_kernelization(ps.subcircuit, ps.kernels,
                                       config_.cost_model);
     plan.kernel_cost_total += ps.kernels.total_cost;

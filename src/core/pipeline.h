@@ -15,9 +15,10 @@
 /// * **canonicalize** — every remaining rotation parameter (constant or
 ///   symbolic) becomes a dense slot symbol "$k"; the slot table maps
 ///   each slot back to the caller's affine expression.
-/// * **stage / kernelize** — PARTITION on the canonical circuit,
-///   memoized through the session's plan cache (these phases are
-///   skipped entirely on a cache hit; diagnostics record that).
+/// * **stage / kernelize** — PARTITION on the canonical circuit
+///   (staging::stage_circuit, then kernelize::kernelize_best per
+///   stage), memoized through the session's plan cache (these phases
+///   are skipped entirely on a cache hit; diagnostics record that).
 /// * **program** — slot-program compilation and handle assembly.
 ///
 /// Each phase is timed into CompileDiagnostics (retrievable from the
@@ -36,7 +37,7 @@
 #include "ir/circuit.h"
 #include "kernelize/kernelizer.h"
 #include "opt/pass_manager.h"
-#include "staging/registry.h"
+#include "staging/stager.h"
 #include "verify/diagnostic.h"
 
 namespace atlas {
@@ -111,9 +112,7 @@ class CompilePipeline {
           std::uint64_t key, const Circuit& canonical,
           CompileDiagnostics& diag)>;
 
-  CompilePipeline(Config config,
-                  std::shared_ptr<const staging::Stager> stager,
-                  std::shared_ptr<const kernelize::Kernelizer> kernelizer);
+  explicit CompilePipeline(Config config);
 
   /// Runs every phase over `circuit` and assembles the immutable
   /// handle. Thread-safe and deterministic.
@@ -145,8 +144,6 @@ class CompilePipeline {
   Config config_;
   opt::PassManager passes_;
   opt::PassContext pass_ctx_;
-  std::shared_ptr<const staging::Stager> stager_;
-  std::shared_ptr<const kernelize::Kernelizer> kernelizer_;
 };
 
 }  // namespace atlas

@@ -43,8 +43,6 @@ std::uint64_t engine_salt_of(const SessionConfig& config) {
   const staging::StagingOptions& st = config.staging;
   const kernelize::CostModel& cm = config.cost_model;
   Fnv f;
-  f.mix_string(config.stager);
-  f.mix_string(config.kernelizer);
   for (long v : {long{st.ilp.max_stages}, st.ilp.node_budget,
                  long{st.bnb.max_stages}, long{st.bnb.beam_width},
                  long{st.bnb.max_solutions}, st.bnb.node_budget,
@@ -165,8 +163,6 @@ Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
       cluster_(config_.cluster),
       shape_salt_(shape_salt_of(config_)),
       engine_salt_(engine_salt_of(config_)),
-      stager_(staging::stager_registry().create(config_.stager)),
-      kernelizer_(kernelize::kernelizer_registry().create(config_.kernelizer)),
       pipeline_([this] {
         CompilePipeline::Config pc;
         pc.shape = shape_of(config_);
@@ -176,8 +172,7 @@ Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
         pc.opt.level = config_.opt_level;
         pc.verify = config_.verify_level;
         pc.dump = config_.compile_dump;
-        return std::make_unique<CompilePipeline>(std::move(pc), stager_,
-                                                 kernelizer_);
+        return std::make_unique<CompilePipeline>(std::move(pc));
       }()),
       plan_cache_(std::move(plan_cache)),
       dispatch_pool_(std::make_unique<ThreadPool>(
@@ -196,7 +191,7 @@ Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
 Session::~Session() {
   // Drain in-flight submit() jobs before any member goes away; the
   // pool's destructor finishes queued tasks, and everything they touch
-  // (cluster, cache, engines) outlives it by member order.
+  // (cluster, cache, pipeline) outlives it by member order.
   dispatch_pool_.reset();
   // After the drain every span this session could emit has been
   // recorded; the matching stop() writes the trace file when this was

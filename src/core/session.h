@@ -2,10 +2,9 @@
 
 /// \file session.h
 /// The Atlas engine API: a long-lived Session owning the simulated
-/// cluster, the staging and kernelization engines (resolved by name
-/// from the pluggable registries), the executor (whose shard runner the
-/// cluster shape picks), an LRU plan cache, and an async dispatch pool. It is
-/// the only public engine. Its synchronous calls follow the paper's
+/// cluster, the compile pipeline (core/pipeline.h), the executor (whose
+/// shard runner the cluster shape picks), an LRU plan cache, and an
+/// async dispatch pool. It is the only public engine. Its synchronous calls follow the paper's
 /// Algorithm 1: plan() is PARTITION (STAGE, then KERNELIZE per stage),
 /// execute() is EXECUTE, and simulate() runs a cached PARTITION then
 /// EXECUTE from |0...0>.
@@ -15,8 +14,7 @@
 ///   cfg.cluster.regional_qubits = 2;
 ///   cfg.cluster.global_qubits = 1;
 ///   cfg.cluster.gpus_per_node = 4;
-///   cfg.stager = "bnb";                 // any registered staging engine
-///   atlas::Session session(cfg);        // validates cfg, resolves engines
+///   atlas::Session session(cfg);        // validates cfg
 ///
 ///   auto f1 = session.submit(atlas::circuits::qft(23));   // async
 ///   auto f2 = session.submit(atlas::circuits::ghz(23));
@@ -52,7 +50,7 @@
 #include "ir/param.h"
 #include "kernelize/kernelizer.h"
 #include "noise/result.h"
-#include "staging/registry.h"
+#include "staging/stager.h"
 
 namespace atlas {
 
@@ -62,8 +60,7 @@ class NoiseModel;
 
 /// Session construction knobs: the cluster shape (which also picks the
 /// shard runner, exec::Executor), the staging and kernelization options
-/// and cost models, engine selection by registry name, and the
-/// plan-cache and dispatch shapes.
+/// and cost models, and the plan-cache and dispatch shapes.
 struct SessionConfig {
   device::ClusterConfig cluster;
   staging::StagingOptions staging;
@@ -72,10 +69,6 @@ struct SessionConfig {
   /// Inter-node cost factor c of Eq. (2); the paper uses 3.
   double stage_cost_factor = 3.0;
   device::CommCostModel comm = device::CommCostModel::perlmutter_like();
-  /// Staging engine (staging::stager_registry() key).
-  std::string stager = "auto";
-  /// Kernelization engine (kernelize::kernelizer_registry() key).
-  std::string kernelizer = "best";
   /// Plans retained in the LRU cache; 0 disables caching. Ignored by
   /// the Session constructor that takes a shared cache.
   std::size_t plan_cache_capacity = 64;
@@ -201,17 +194,14 @@ struct SimulationResult {
 class Session {
  public:
   /// Validates `config` (throws atlas::Error naming the offending
-  /// field) and resolves the stager and kernelizer from their
-  /// registries (throws atlas::Error listing registered names on an
-  /// unknown one). The executor needs no name: the cluster shape picks
-  /// its shard runner.
+  /// field). The executor needs no name: the cluster shape picks its
+  /// shard runner.
   explicit Session(SessionConfig config);
   /// As above, but compile() looks plans up in `plan_cache`, which
   /// other sessions may share (config.plan_cache_capacity is ignored).
-  /// Cache keys are salted with the cluster shape, the stager and
-  /// kernelizer names, the cost model and the staging/kernelize
-  /// options, so a session never receives a plan built under a
-  /// different engine configuration.
+  /// Cache keys are salted with the cluster shape, the cost model and
+  /// the staging/kernelize options, so a session never receives a plan
+  /// built under a different engine configuration.
   Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache);
   ~Session();
 
@@ -221,8 +211,6 @@ class Session {
   const SessionConfig& config() const { return config_; }
   const device::Cluster& cluster() const { return cluster_; }
 
-  const staging::Stager& stager() const { return *stager_; }
-  const kernelize::Kernelizer& kernelizer() const { return *kernelizer_; }
   const exec::Executor& executor() const { return executor_; }
   /// The session's compile pipeline (optimizer introspection; the
   /// phases compile() runs are documented in core/pipeline.h).
@@ -375,12 +363,10 @@ class Session {
   /// circuits (plans embed shape-dependent partitions).
   std::uint64_t shape_salt_ = 0;
   /// Hash of the engine configuration a plan depends on besides the
-  /// shape (stager, kernelizer, cost model, staging/kernelize options),
+  /// shape (cost model, staging/kernelize options),
   /// mixed into every plan-cache lookup so a shared cache never hands
   /// this session a plan another configuration built.
   std::uint64_t engine_salt_ = 0;
-  std::shared_ptr<const staging::Stager> stager_;
-  std::shared_ptr<const kernelize::Kernelizer> kernelizer_;
   exec::Executor executor_;
   /// Owns phases optimize -> canonicalize -> stage -> kernelize ->
   /// program; compile() and plan() both route through it.
@@ -402,8 +388,6 @@ class Session {
 /// shape (negative dimensions, gpus_per_node vs. 2^regional_qubits
 /// mismatch, thread counts), staging/kernelize option ranges, and the
 /// cost factor. Throws atlas::Error naming the offending field.
-/// Backend names are checked against the registries at Session
-/// construction, not here, so the check stays side-effect free.
 void validate_session_config(const SessionConfig& config);
 
 }  // namespace atlas

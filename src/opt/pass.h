@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file pass.h
-/// The gate-level optimizer pass interface. A Pass is a named,
-/// individually-toggleable circuit rewrite run by the PassManager
-/// (opt/pass_manager.h) between authoring and slot canonicalization in
-/// the compile pipeline (core/pipeline.h).
+/// The gate-level optimizer pass interface. A Pass is a named circuit
+/// rewrite run by the PassManager (opt/pass_manager.h) between
+/// authoring and slot canonicalization in the compile pipeline
+/// (core/pipeline.h).
 ///
 /// Contract every pass must honor:
 ///  * **Exact equivalence.** The rewritten circuit applies the *same*
@@ -22,14 +22,12 @@
 ///    context — never on addresses, time, or randomness — so equal
 ///    circuits optimize equally and plan-cache keys stay stable.
 ///
-/// Passes are registered by name in pass_registry() (the same
-/// string-keyed seam as the staging/kernelize/executor backends) and
-/// selected per optimization level by the PassManager.
+/// The built-in passes live in a fixed name table (find_pass()); the
+/// PassManager resolves its level preset and OptOptions::enable
+/// through it.
 
-#include <memory>
 #include <string>
 
-#include "common/registry.h"
 #include "ir/circuit.h"
 
 namespace atlas::opt {
@@ -65,10 +63,10 @@ class Pass {
   virtual bool run(Circuit& circuit, const PassContext& ctx) const = 0;
 };
 
-/// The global pass registry; built-in passes ("cancel-inverses",
+/// The built-in pass named `name` ("cancel-inverses",
 /// "merge-rotations", "block2q", "resynth-1q", "drop-identities",
-/// "reorder") register on first access, exactly like the backend
-/// registries.
-Registry<Pass>& pass_registry();
+/// "reorder"). Throws atlas::Error listing the known names on an
+/// unknown one.
+const Pass& find_pass(const std::string& name);
 
 }  // namespace atlas::opt

@@ -40,12 +40,8 @@ PassManager::PassManager(const OptOptions& options) : options_(options) {
   for (const std::string& name : options.enable)
     if (std::find(names.begin(), names.end(), name) == names.end())
       names.push_back(name);
-  for (const std::string& name : options.disable)
-    names.erase(std::remove(names.begin(), names.end(), name), names.end());
-  for (const std::string& name : names) {
-    auto pass = pass_registry().create(name);
-    (tail_pass(name) ? tail_passes_ : loop_passes_).push_back(std::move(pass));
-  }
+  for (const std::string& name : names)
+    (tail_pass(name) ? tail_passes_ : loop_passes_).push_back(&find_pass(name));
 }
 
 std::vector<std::string> PassManager::pass_names() const {

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file pass_manager.h
-/// Runs an ordered, individually-toggleable pass pipeline over a
-/// circuit. Levels preset the pass list:
+/// Runs an ordered pass pipeline over a circuit. Levels preset the
+/// pass list, and OptOptions::enable appends passes to it:
 ///
 ///   0  nothing — the circuit passes through untouched (bit-identical
 ///      compile pipeline, the default);
@@ -26,15 +26,13 @@
 
 namespace atlas::opt {
 
-/// Optimizer configuration: a level preset plus per-pass overrides.
+/// Optimizer configuration: a level preset plus extra passes.
 struct OptOptions {
   /// 0 (off, default) / 1 (local cleanups) / 2 (full).
   int level = 0;
-  /// Extra passes to enable on top of the level preset (registry
+  /// Extra passes to enable on top of the level preset (find_pass()
   /// names); unknown names throw at PassManager construction.
   std::vector<std::string> enable;
-  /// Passes to remove from the preset.
-  std::vector<std::string> disable;
   /// Fixpoint iteration cap for the local-pass loop.
   int max_rounds = 4;
   PassOptions pass;
@@ -65,9 +63,9 @@ std::vector<std::string> default_passes(int level);
 
 class PassManager {
  public:
-  /// Builds the pipeline for `options` (level preset +/- toggles),
-  /// resolving pass names through pass_registry(). Throws atlas::Error
-  /// on an unknown name or a level outside [0, 2].
+  /// Builds the pipeline for `options` (level preset plus enabled
+  /// passes), resolving pass names through find_pass(). Throws
+  /// atlas::Error on an unknown name or a level outside [0, 2].
   explicit PassManager(const OptOptions& options);
 
   /// The resolved pass names in execution order.
@@ -81,8 +79,8 @@ class PassManager {
  private:
   OptOptions options_;
   /// Fixpoint-iterated local passes, then run-once tail passes.
-  std::vector<std::shared_ptr<Pass>> loop_passes_;
-  std::vector<std::shared_ptr<Pass>> tail_passes_;
+  std::vector<const Pass*> loop_passes_;
+  std::vector<const Pass*> tail_passes_;
 };
 
 }  // namespace atlas::opt

@@ -7,6 +7,8 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -467,21 +469,23 @@ class ReorderPass final : public Pass {
 
 }  // namespace
 
-Registry<Pass>& pass_registry() {
-  static Registry<Pass>* registry = [] {
-    auto* r = new Registry<Pass>("optimizer pass");
-    r->add("cancel-inverses",
-           [] { return std::make_shared<CancelInversesPass>(); });
-    r->add("merge-rotations",
-           [] { return std::make_shared<MergeRotationsPass>(); });
-    r->add("block2q", [] { return std::make_shared<Block2qPass>(); });
-    r->add("resynth-1q", [] { return std::make_shared<Resynth1qPass>(); });
-    r->add("drop-identities",
-           [] { return std::make_shared<DropIdentitiesPass>(); });
-    r->add("reorder", [] { return std::make_shared<ReorderPass>(); });
-    return r;
-  }();
-  return *registry;
+const Pass& find_pass(const std::string& name) {
+  static const CancelInversesPass cancel_inverses;
+  static const MergeRotationsPass merge_rotations;
+  static const Block2qPass block2q;
+  static const Resynth1qPass resynth_1q;
+  static const DropIdentitiesPass drop_identities;
+  static const ReorderPass reorder;
+  static const Pass* const passes[] = {&cancel_inverses, &merge_rotations,
+                                       &block2q,         &resynth_1q,
+                                       &drop_identities, &reorder};
+  std::ostringstream known;
+  for (const Pass* pass : passes) {
+    if (pass->name() == name) return *pass;
+    known << (known.tellp() > 0 ? ", " : "") << pass->name();
+  }
+  throw Error("unknown optimizer pass '" + name + "'; known: " + known.str(),
+              ErrorCode::not_found);
 }
 
 }  // namespace atlas::opt

@@ -1,16 +1,17 @@
 #include "qasm/qasm.h"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <numbers>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace atlas::qasm {
 namespace {
@@ -21,19 +22,18 @@ namespace {
 /// atlas::Error naming the line.
 int parse_count(const std::string& text, int line_no, const char* what) {
   const std::size_t b = text.find_first_not_of(" \t");
-  const std::size_t e = text.find_last_not_of(" \t");
-  const char* first = text.data() + (b == std::string::npos ? 0 : b);
-  const char* last = b == std::string::npos ? first : text.data() + e + 1;
-  int value = 0;
-  const auto [end, ec] = std::from_chars(first, last, value);
-  const bool digits_only =
-      first != last && std::isdigit(static_cast<unsigned char>(*first)) != 0 &&
-      ec == std::errc() && end == last;
-  ATLAS_CHECK_ARG(digits_only, "line " << line_no << ": " << what << " '"
-                                       << text
-                                       << "' is not a non-negative integer "
-                                          "that fits an int");
-  return value;
+  const std::string_view trimmed =
+      b == std::string::npos
+          ? std::string_view()
+          : std::string_view(text).substr(
+                b, text.find_last_not_of(" \t") - b + 1);
+  const auto value =
+      parse_uint(trimmed, 0, std::numeric_limits<int>::max());
+  ATLAS_CHECK_ARG(value.has_value(), "line " << line_no << ": " << what
+                                             << " '" << text
+                                             << "' is not a non-negative "
+                                                "integer that fits an int");
+  return static_cast<int>(*value);
 }
 
 /// Recursive-descent evaluator for gate parameter expressions. Yields a

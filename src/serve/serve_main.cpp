@@ -9,11 +9,14 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/parse.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 
@@ -52,45 +55,56 @@ int main(int argc, char** argv) {
   atlas::serve::ServerConfig config;
   config.port = atlas::serve::kDefaultPort;
   long metrics_dump_seconds = 0;
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> long {
+    // The flag's value as a whole decimal integer in [lo, hi]; anything
+    // else exits 2 naming the flag.
+    auto next = [&](std::uint64_t lo, std::uint64_t hi) -> std::uint64_t {
       if (i + 1 >= argc) {
         std::cerr << arg << " needs a value\n";
         std::exit(2);
       }
-      return std::strtol(argv[++i], nullptr, 10);
+      const char* text = argv[++i];
+      const auto value = atlas::parse_uint(text, lo, hi);
+      if (!value) {
+        std::cerr << argv[0] << ": " << arg << " '" << text
+                  << "' is not an integer in [" << lo << ", " << hi << "]\n";
+        std::exit(2);
+      }
+      return *value;
     };
     if (arg == "--host") {
       if (i + 1 >= argc) return usage(argv[0]);
       config.host = argv[++i];
     } else if (arg == "--port") {
-      config.port = static_cast<int>(next());
+      config.port = static_cast<int>(next(0, 65535));
     } else if (arg == "--workers") {
-      config.workers = static_cast<int>(next());
+      config.workers = static_cast<int>(next(0, 1024));
     } else if (arg == "--max-pending") {
-      config.max_pending_per_tenant = static_cast<std::size_t>(next());
+      config.max_pending_per_tenant = next(0, kIntMax);
     } else if (arg == "--max-sessions") {
-      config.store.max_sessions = static_cast<std::size_t>(next());
+      config.store.max_sessions = next(1, kIntMax);
     } else if (arg == "--ttl-ms") {
-      config.store.session_ttl = std::chrono::milliseconds(next());
+      config.store.session_ttl = std::chrono::milliseconds(next(0, kIntMax));
     } else if (arg == "--purge-ms") {
-      config.store.purge_interval = std::chrono::milliseconds(next());
+      config.store.purge_interval =
+          std::chrono::milliseconds(next(1, kIntMax));
     } else if (arg == "--shared-plans") {
-      config.session.plan_cache_capacity = static_cast<std::size_t>(next());
+      config.session.plan_cache_capacity = next(0, kIntMax);
     } else if (arg == "--local-qubits") {
-      config.session.cluster.local_qubits = static_cast<int>(next());
+      config.session.cluster.local_qubits = static_cast<int>(next(0, 63));
     } else if (arg == "--regional-qubits") {
-      config.session.cluster.regional_qubits = static_cast<int>(next());
+      config.session.cluster.regional_qubits = static_cast<int>(next(0, 63));
     } else if (arg == "--global-qubits") {
-      config.session.cluster.global_qubits = static_cast<int>(next());
+      config.session.cluster.global_qubits = static_cast<int>(next(0, 63));
     } else if (arg == "--gpus-per-node") {
-      config.session.cluster.gpus_per_node = static_cast<int>(next());
+      config.session.cluster.gpus_per_node = static_cast<int>(next(1, kIntMax));
     } else if (arg == "--opt-level") {
-      config.session.opt_level = static_cast<int>(next());
+      config.session.opt_level = static_cast<int>(next(0, 2));
     } else if (arg == "--metrics-dump") {
-      metrics_dump_seconds = next();
+      metrics_dump_seconds = static_cast<long>(next(0, 86400));
     } else {
       return usage(argv[0]);
     }

@@ -10,13 +10,15 @@
 /// With --json every command emits a single machine-readable JSON object
 /// on stdout (errors still go to stderr and set a nonzero exit code).
 
-#include <cstdlib>
+#include <cstdint>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "serve/client.h"
 
 namespace {
@@ -173,7 +175,13 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      const auto value = atlas::parse_uint(argv[++i], 1, 65535);
+      if (!value) {
+        std::cerr << argv[0] << ": --port '" << argv[i]
+                  << "' is not an integer in [1, 65535]\n";
+        return 2;
+      }
+      port = static_cast<int>(*value);
     } else if (arg == "--json") {
       json = true;
     } else {
@@ -181,6 +189,18 @@ int main(int argc, char** argv) {
     }
   }
   if (rest.empty()) return usage(argv[0]);
+  std::uint64_t evict_id = 0;
+  if (rest[0] == "evict") {
+    if (rest.size() != 2) return usage(argv[0]);
+    const auto value = atlas::parse_uint(
+        rest[1], 0, std::numeric_limits<std::uint64_t>::max());
+    if (!value) {
+      std::cerr << argv[0] << ": evict: session id '" << rest[1]
+                << "' is not an unsigned integer\n";
+      return 2;
+    }
+    evict_id = *value;
+  }
 
   try {
     atlas::serve::Client client(host, port);
@@ -192,11 +212,9 @@ int main(int argc, char** argv) {
     } else if (cmd == "metrics") {
       cmd_metrics(client, json);
     } else if (cmd == "evict") {
-      if (rest.size() != 2) return usage(argv[0]);
-      const std::uint64_t id = std::strtoull(rest[1].c_str(), nullptr, 10);
-      client.evict_session(id);
+      client.evict_session(evict_id);
       if (json) {
-        std::cout << "{\"evicted\":" << id << "}\n";
+        std::cout << "{\"evicted\":" << evict_id << "}\n";
       } else {
         std::cout << "evicted session " << rest[1] << "\n";
       }

@@ -516,6 +516,23 @@ void Server::do_sweep(const std::shared_ptr<RequestContext>& ctx,
   const std::uint32_t num_points = body.u32();
   // num_points points of point_size doubles each follow.
   const std::uint32_t point_size = body.count(8ull * num_points);
+  const auto compiled = session->compiled(compiled_id);
+  // Zero-size points carry no bytes, so the frame cannot bound
+  // num_points; the reply must fit a frame, and each of its points is
+  // an f64 norm, a u32 count and one f64 per qubit.
+  ATLAS_CHECK_ARG(num_points == 0 || point_size == compiled->symbols().size(),
+                  "sweep points carry " << point_size
+                                        << " values, the circuit has "
+                                        << compiled->symbols().size()
+                                        << " symbols");
+  const std::uint64_t reply_bytes =
+      4 + std::uint64_t{num_points} *
+              (12 + 8 * static_cast<std::uint64_t>(compiled->num_qubits()));
+  ATLAS_CHECK_ARG(reply_bytes <= config_.max_frame_bytes,
+                  "a sweep of " << num_points << " points needs a "
+                                << reply_bytes
+                                << "-byte reply, over the frame limit of "
+                                << config_.max_frame_bytes << " bytes");
   auto points = std::make_shared<std::vector<std::vector<double>>>();
   points->reserve(num_points);
   for (std::uint32_t i = 0; i < num_points; ++i) {
@@ -523,7 +540,6 @@ void Server::do_sweep(const std::shared_ptr<RequestContext>& ctx,
     for (auto& v : point) v = body.f64();
     points->push_back(std::move(point));
   }
-  const auto compiled = session->compiled(compiled_id);
 
   if (num_points == 0) {
     WireWriter w;

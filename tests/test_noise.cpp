@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include <atomic>
 #include <set>
 
 #include "core/session.h"
@@ -19,8 +18,9 @@
 #include "noise/density_ref.h"
 #include "noise/model.h"
 #include "noise/trajectory.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "sim/reference.h"
-#include "staging/snuqs.h"
 
 namespace atlas {
 namespace {
@@ -438,23 +438,7 @@ TEST(Convergence, ReadoutErrorMatchesConfusedDensityDiagonal) {
 // --------------------------------------------------------------------------
 // General-Kraus trajectory plans memoize on the sampled outcome pattern.
 
-std::atomic<int> kraus_memo_stager_calls{0};
-
-class KrausMemoCountingStager final : public staging::Stager {
- public:
-  std::string name() const override { return "kraus-memo-counting"; }
-  staging::StagedCircuit stage(const Circuit& circuit,
-                               const staging::MachineShape& shape,
-                               const staging::StagingOptions&) const override {
-    ++kraus_memo_stager_calls;
-    return staging::stage_with_snuqs(circuit, shape);
-  }
-};
-
 TEST(KrausPlanMemo, BatchPlansOncePerDistinctOutcomePattern) {
-  staging::stager_registry().add("kraus-memo-counting", [] {
-    return std::make_shared<KrausMemoCountingStager>();
-  });
   // One amplitude-damping site (after the single h) with two Kraus
   // outcomes: a 24-trajectory batch draws at most 2 distinct patterns,
   // so the engine must build at most 2 plans instead of 24.
@@ -475,20 +459,20 @@ TEST(KrausPlanMemo, BatchPlansOncePerDistinctOutcomePattern) {
     distinct.insert(prog.sample_outcomes(seed, t));
   ASSERT_GE(distinct.size(), 2u);  // both outcomes drawn at this seed
 
-  SessionConfig cfg = shaped(3, 1, 0);
-  cfg.stager = "kraus-memo-counting";
-  const Session session(cfg);
+  const Session session(shaped(3, 1, 0));
   NoisyRunOptions opts;
   opts.trajectories = trajectories;
   opts.seed = seed;
-  const int calls_before = kraus_memo_stager_calls.load();
+  // The compile pipeline observes this histogram once per staging run.
+  const obs::Histogram& stage_runs =
+      obs::histogram(obs::names::kCompileStageUs);
+  const std::uint64_t runs_before = stage_runs.count();
   const NoisyResult result = session.run_noisy(single, model, opts);
-  EXPECT_EQ(kraus_memo_stager_calls.load() - calls_before,
-            static_cast<int>(distinct.size()));
+  EXPECT_EQ(stage_runs.count() - runs_before, distinct.size());
   EXPECT_EQ(result.trajectories(), static_cast<std::uint64_t>(trajectories));
 
   // Memoized plans change nothing observable: same counts/moments as a
-  // single-threaded session of the default stager.
+  // single-threaded session.
   SessionConfig ref_cfg = shaped(3, 1, 0);
   ref_cfg.dispatch_threads = 1;
   NoisyRunOptions ref_opts = opts;

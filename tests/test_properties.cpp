@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "baselines/baselines.h"
 #include "circuits/families.h"
 #include "core/session.h"
 #include "exec/remap.h"
-#include "kernelize/dp_kernelizer.h"
-#include "kernelize/greedy.h"
-#include "kernelize/ordered.h"
+#include "kernelize/kernelizer.h"
 #include "sim/reference.h"
+#include "staging/snuqs.h"
 #include "staging/stager.h"
 
 namespace atlas {
@@ -150,7 +153,7 @@ TEST_P(StagingSweepTest, ValidAndMonotoneAcrossLocalSizes) {
     shape.num_local = local;
     shape.num_global = std::min(2, 13 - local);
     shape.num_regional = 13 - local - shape.num_global;
-    const auto staged = staging::stage_circuit(c, shape, "bnb");
+    const auto staged = staging::stage_with_bnb(c, shape);
     staging::validate_staging(c, staged, shape);
     // More local qubits never force more stages (the ILP's optimality
     // property the paper contrasts with SnuQS's non-monotonicity).
@@ -191,6 +194,88 @@ TEST_P(KernelizePropertyTest, DpValidAndAtMostBaselinesOnRandom) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelizePropertyTest,
                          ::testing::Range(1, 11));
+
+// --------------------------------------------------------------------------
+// Every STAGE engine × every KERNELIZE engine, each plan assembled by
+// hand from the engine functions (as baselines::plan_baseline does) and
+// executed by the Session on in-place and offloading shapes.
+
+TEST(Property, EveryEnginePairMatchesReference) {
+  using StageFn = std::function<staging::StagedCircuit(
+      const Circuit&, const staging::MachineShape&)>;
+  using KernelizeFn = std::function<kernelize::Kernelization(
+      const Circuit&, const kernelize::CostModel&)>;
+  const std::vector<std::pair<const char*, StageFn>> stagers = {
+      {"ilp",
+       [](const Circuit& c, const staging::MachineShape& shape) {
+         auto staged = staging::stage_with_ilp(c, shape);
+         if (!staged) throw Error("ILP exhausted its node budget");
+         return *std::move(staged);
+       }},
+      {"bnb",
+       [](const Circuit& c, const staging::MachineShape& shape) {
+         return staging::stage_with_bnb(c, shape);
+       }},
+      {"snuqs", staging::stage_with_snuqs}};
+  const std::vector<std::pair<const char*, KernelizeFn>> kernelizers = {
+      {"dp",
+       [](const Circuit& c, const kernelize::CostModel& model) {
+         return kernelize::kernelize_dp(c, model);
+       }},
+      {"ordered", kernelize::kernelize_ordered},
+      {"greedy", [](const Circuit& c, const kernelize::CostModel& model) {
+         return kernelize::kernelize_greedy(c, model);
+       }}};
+
+  // {qubits, local, regional, global, gpus_per_node, circuit seed}:
+  // 16-gate random circuits that need two stages and stay small enough
+  // for the ILP. The last shape has fewer GPUs than regional shards, so
+  // it runs the device runner.
+  const int cases[][6] = {
+      {6, 3, 2, 1, 4, 3}, {7, 4, 2, 1, 4, 6}, {8, 4, 2, 2, 1, 3}};
+  for (const auto& [n, local, regional, global, gpus, seed] : cases) {
+    SessionConfig cfg;
+    cfg.cluster.local_qubits = local;
+    cfg.cluster.regional_qubits = regional;
+    cfg.cluster.global_qubits = global;
+    cfg.cluster.gpus_per_node = gpus;
+    cfg.cluster.num_threads = 2;
+    const Session session(cfg);
+    staging::MachineShape shape;
+    shape.num_local = local;
+    shape.num_regional = regional;
+    shape.num_global = global;
+    shape.cost_factor = cfg.stage_cost_factor;
+
+    const Circuit c = circuits::random_circuit(n, 16, seed);
+    const StateVector expected = simulate_reference(c);
+    for (const auto& [stager_name, stage] : stagers) {
+      const staging::StagedCircuit staged = stage(c, shape);
+      staging::validate_staging(c, staged, shape);
+      EXPECT_GE(staged.stages.size(), 2u) << stager_name << ", n=" << n;
+      for (const auto& [kernelizer_name, kernelize_fn] : kernelizers) {
+        SCOPED_TRACE(::testing::Message()
+                     << stager_name << " x " << kernelizer_name << ", n="
+                     << n << ", seed " << seed);
+        exec::ExecutionPlan plan;
+        for (const auto& stage_info : staged.stages) {
+          exec::PlannedStage ps;
+          ps.original_indices = stage_info.gate_indices;
+          ps.partition = stage_info.partition;
+          ps.subcircuit = c.subcircuit(stage_info.gate_indices);
+          ps.kernels = kernelize_fn(ps.subcircuit, cfg.cost_model);
+          kernelize::validate_kernelization(ps.subcircuit, ps.kernels,
+                                            cfg.cost_model);
+          plan.stages.push_back(std::move(ps));
+        }
+        exec::DistState state =
+            session.executor().initial_state(plan, session.cluster());
+        session.execute(plan, state);
+        EXPECT_LT(state.gather().max_abs_diff(expected), 1e-10);
+      }
+    }
+  }
+}
 
 // --------------------------------------------------------------------------
 // Baseline comparisons hold across families (the benches' premises).

@@ -640,24 +640,36 @@ TEST(Serve, TruncatedBodyYieldsInvalidArgumentNotCrash) {
   open.tenant = "alice";
   const std::uint64_t sid = client.open_session(open);
 
-  // Bodies whose counts claim more values than the frame carries: the
-  // bounds-checked reader rejects each as invalid_argument before
-  // anything is sized from the count, instead of reading past the
-  // frame or allocating what the count asks for.
+  // A compiled circuit with no symbols, so a sweep of zero-size points
+  // passes the id lookup and the point-size check.
+  const CompileReply concrete =
+      client.compile(sid, client.submit_qasm(sid, concrete_qasm()).circuit_id);
+  ASSERT_TRUE(concrete.symbols.empty());
+
+  // Bodies whose counts claim more than the frame carries or the reply
+  // could hold: each is rejected as invalid_argument before anything
+  // is sized from the count, instead of reading past the frame or
+  // allocating what the count asks for.
   struct Case {
     const char* what;
     Op op;
     std::vector<std::uint32_t> fields;  // after the session id
+    const char* message;
   };
   const std::vector<Case> cases = {
       // compiled_id, "one value follows", but the frame ends here.
-      {"run claiming 1 value", Op::run, {1, 1}},
+      {"run claiming 1 value", Op::run, {1, 1}, "truncated frame"},
       // 2^32-1 values (32 GiB of doubles) in a 30-byte frame.
-      {"run claiming 2^32-1 values", Op::run, {1, 0xffffffffu}},
+      {"run claiming 2^32-1 values", Op::run, {1, 0xffffffffu},
+       "truncated frame"},
       // compiled_id, num_points, point_size: 8 x num_points x
       // point_size overflows even 64 bits.
       {"sweep whose points overflow", Op::sweep,
-       {1, 0xffffffffu, 0xffffffffu}},
+       {1, 0xffffffffu, 0xffffffffu}, "truncated frame"},
+      // 2^32-1 points of 0 values carry no bytes, but their 8-qubit
+      // reply would take ~300 GiB.
+      {"sweep of 2^32-1 zero-size points", Op::sweep,
+       {concrete.compiled_id, 0xffffffffu, 0}, "frame limit"},
   };
   std::uint64_t request_id = 5;
   for (const Case& c : cases) {
@@ -671,7 +683,7 @@ TEST(Serve, TruncatedBodyYieldsInvalidArgumentNotCrash) {
     std::string message;
     EXPECT_EQ(client.wait_status(request_id, nullptr, &message),
               Status::invalid_argument);
-    EXPECT_NE(message.find("truncated frame"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.message), std::string::npos) << message;
     ++request_id;
   }
 

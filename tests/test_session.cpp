@@ -1,7 +1,6 @@
-// Session API tests: backend registries (built-ins, custom engines,
-// unknown names), construction-time config validation, plan-cache
-// behavior (hits, eviction, disabling), and concurrent submit()
-// determinism.
+// Session API tests: construction-time config validation, plan-cache
+// behavior (hits, eviction, disabling, engine-configuration salting),
+// and concurrent submit() determinism.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +12,9 @@
 
 #include "circuits/families.h"
 #include "core/session.h"
-#include "kernelize/ordered.h"
-#include "staging/snuqs.h"
+#include "kernelize/kernelizer.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 
 namespace atlas {
 namespace {
@@ -38,91 +38,6 @@ std::vector<Amp> amplitudes(const exec::DistState& state) {
 
 std::vector<Amp> amplitudes(const SimulationResult& r) {
   return amplitudes(r.state);
-}
-
-// --- registries ---------------------------------------------------------
-
-TEST(Registry, BuiltinsRegistered) {
-  for (const char* name : {"ilp", "bnb", "snuqs", "auto"})
-    EXPECT_TRUE(staging::stager_registry().contains(name)) << name;
-  for (const char* name : {"dp", "ordered", "greedy", "best"})
-    EXPECT_TRUE(kernelize::kernelizer_registry().contains(name)) << name;
-}
-
-TEST(Registry, UnknownNameThrowsListingRegistered) {
-  try {
-    staging::stager_registry().create("no-such-engine");
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-engine"), std::string::npos);
-    EXPECT_NE(what.find("bnb"), std::string::npos);  // lists known names
-    EXPECT_EQ(e.code(), ErrorCode::not_found);
-  }
-}
-
-TEST(Registry, SessionRejectsUnknownBackendNames) {
-  SessionConfig cfg = small_config();
-  cfg.stager = "no-such-stager";
-  EXPECT_THROW(Session{cfg}, Error);
-  cfg = small_config();
-  cfg.kernelizer = "no-such-kernelizer";
-  EXPECT_THROW(Session{cfg}, Error);
-}
-
-TEST(Registry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(
-      staging::stager_registry().add("bnb", [] {
-        return std::shared_ptr<staging::Stager>();
-      }),
-      Error);
-}
-
-std::atomic<int> counting_stager_calls{0};
-std::atomic<int> counting_kernelizer_calls{0};
-
-class CountingStager final : public staging::Stager {
- public:
-  std::string name() const override { return "test-counting"; }
-  staging::StagedCircuit stage(const Circuit& circuit,
-                               const staging::MachineShape& shape,
-                               const staging::StagingOptions&) const override {
-    ++counting_stager_calls;
-    return staging::stage_with_snuqs(circuit, shape);
-  }
-};
-
-class CountingKernelizer final : public kernelize::Kernelizer {
- public:
-  std::string name() const override { return "test-counting"; }
-  kernelize::Kernelization kernelize(
-      const Circuit& circuit, const kernelize::CostModel& model,
-      const kernelize::DpOptions&) const override {
-    ++counting_kernelizer_calls;
-    return kernelize::kernelize_ordered(circuit, model);
-  }
-};
-
-TEST(Registry, CustomBackendsDriveASession) {
-  staging::stager_registry().add(
-      "test-counting", [] { return std::make_shared<CountingStager>(); });
-  kernelize::kernelizer_registry().add(
-      "test-counting", [] { return std::make_shared<CountingKernelizer>(); });
-
-  SessionConfig cfg = small_config();
-  cfg.stager = "test-counting";
-  cfg.kernelizer = "test-counting";
-  Session session(cfg);
-  EXPECT_EQ(session.stager().name(), "test-counting");
-
-  const Circuit c = circuits::qft(7);
-  const SimulationResult custom = session.simulate(c);
-  EXPECT_GT(counting_stager_calls.load(), 0);
-  EXPECT_GT(counting_kernelizer_calls.load(), 0);
-
-  // A different planning pipeline must still produce the same state.
-  const Session reference(small_config());
-  EXPECT_EQ(amplitudes(custom), amplitudes(reference.simulate(c)));
 }
 
 // --- config validation --------------------------------------------------
@@ -258,15 +173,13 @@ TEST(PlanCache, SharedCacheNeverCrossesEngineConfigurations) {
   EXPECT_EQ(shared.plan().get(), first.plan().get());
   EXPECT_EQ(twin.plan_cache_stats().hits, 1u);  // one cache, one count
 
-  std::vector<SessionConfig> variants(6, small_config());
-  variants[0].stager = "snuqs";
-  variants[1].kernelizer = "greedy";
-  variants[2].cost_model.shm_alpha += 1.0;
-  variants[3].staging.bnb.beam_width += 1;
-  variants[4].kernelize.prune_threshold += 1;
-  variants[5].cluster.local_qubits = 4;
-  variants[5].cluster.regional_qubits = 2;
-  variants[5].cluster.gpus_per_node = 4;
+  std::vector<SessionConfig> variants(4, small_config());
+  variants[0].cost_model.shm_alpha += 1.0;
+  variants[1].staging.bnb.beam_width += 1;
+  variants[2].kernelize.prune_threshold += 1;
+  variants[3].cluster.local_qubits = 4;
+  variants[3].cluster.regional_qubits = 2;
+  variants[3].cluster.gpus_per_node = 4;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Session other(variants[i], cache);
     const CompiledCircuit cc = other.compile(c);
@@ -455,59 +368,30 @@ TEST(Session, ConstantParameterVariantsShareOnePlanButNotValues) {
             amplitudes(Session(small_config()).simulate(c2)));
 }
 
-std::atomic<int> sweep_stager_calls{0};
-std::atomic<int> sweep_kernelizer_calls{0};
-
-class SweepCountingStager final : public staging::Stager {
- public:
-  std::string name() const override { return "sweep-counting"; }
-  staging::StagedCircuit stage(const Circuit& circuit,
-                               const staging::MachineShape& shape,
-                               const staging::StagingOptions&) const override {
-    ++sweep_stager_calls;
-    return staging::stage_with_snuqs(circuit, shape);
-  }
-};
-
-class SweepCountingKernelizer final : public kernelize::Kernelizer {
- public:
-  std::string name() const override { return "sweep-counting"; }
-  kernelize::Kernelization kernelize(
-      const Circuit& circuit, const kernelize::CostModel& model,
-      const kernelize::DpOptions&) const override {
-    ++sweep_kernelizer_calls;
-    return kernelize::kernelize_ordered(circuit, model);
-  }
-};
-
 TEST(Sweep, ThirtyTwoBindingsOneStagingPassBitIdenticalResults) {
-  staging::stager_registry().add(
-      "sweep-counting", [] { return std::make_shared<SweepCountingStager>(); });
-  kernelize::kernelizer_registry().add("sweep-counting", [] {
-    return std::make_shared<SweepCountingKernelizer>();
-  });
-
+  // build_plan() observes this histogram once per staging run.
+  const obs::Histogram& stage_runs =
+      obs::histogram(obs::names::kCompileStageUs);
   SessionConfig cfg = small_config();
-  cfg.stager = "sweep-counting";
-  cfg.kernelizer = "sweep-counting";
   cfg.dispatch_threads = 4;
   const Session session(cfg);
 
+  const std::uint64_t runs_before = stage_runs.count();
   const CompiledCircuit compiled = session.compile(sweep_ansatz());
+  EXPECT_EQ(stage_runs.count(), runs_before + 1);  // compile()'s one pass
   std::vector<ParamBinding> bindings;
   for (int i = 0; i < 32; ++i) {
     bindings.push_back(ParamBinding{}
                            .set("theta", 0.05 * i)
                            .set("gamma", 1.0 - 0.03 * i));
   }
-  const int stager_before = sweep_stager_calls.load();
   const std::vector<SimulationResult> results =
       session.sweep(compiled, bindings);
 
   // The whole 32-point sweep re-used compile()'s single staging +
   // kernelization pass (kernelization runs once per stage of that one
   // pass, never once per binding).
-  EXPECT_EQ(sweep_stager_calls.load(), stager_before);
+  EXPECT_EQ(stage_runs.count(), runs_before + 1);
   EXPECT_EQ(session.plan_cache_stats().misses, 1u);
   ASSERT_EQ(results.size(), bindings.size());
 
@@ -518,7 +402,7 @@ TEST(Sweep, ThirtyTwoBindingsOneStagingPassBitIdenticalResults) {
               amplitudes(session.simulate(sweep_ansatz().bind(bindings[i]))))
         << "binding " << i;
   }
-  EXPECT_EQ(sweep_stager_calls.load(), stager_before);  // still cached
+  EXPECT_EQ(stage_runs.count(), runs_before + 1);  // still cached
 }
 
 TEST(SimulationResult, ReturnedPlanReExecutesWithItsParams) {
@@ -586,17 +470,13 @@ TEST(PlanKey, IncludesClusterShape) {
 TEST(KernelizeBest, NeverWorseThanDpOrOrdered) {
   const auto model = kernelize::CostModel::default_model();
   const kernelize::DpOptions opts;
-  auto& registry = kernelize::kernelizer_registry();
-  const auto best = registry.create("best");
-  const auto dp = registry.create("dp");
-  const auto ordered = registry.create("ordered");
   for (const Circuit& c :
        {circuits::qft(7), circuits::make_family("ghz", 9),
         circuits::random_circuit(6, 40, 3)}) {
-    const auto b = best->kernelize(c, model, opts);
+    const auto b = kernelize::kernelize_best(c, model, opts);
     kernelize::validate_kernelization(c, b, model);
-    const double d = dp->kernelize(c, model, opts).total_cost;
-    const double o = ordered->kernelize(c, model, opts).total_cost;
+    const double d = kernelize::kernelize_dp(c, model, opts).total_cost;
+    const double o = kernelize::kernelize_ordered(c, model).total_cost;
     // The min of the two candidates, bit for bit.
     EXPECT_EQ(b.total_cost, std::min(d, o));
   }

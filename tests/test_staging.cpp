@@ -78,7 +78,8 @@ TEST_P(StagingFamilyTest, ProducesValidStaging) {
   const int n = 10;
   const Circuit c = circuits::make_family(family, n);
   const MachineShape shape = shape_of(n, 6, 2, 2);
-  const StagedCircuit staged = stage_circuit(c, shape, engine);
+  const StagedCircuit staged = engine == "bnb" ? stage_with_bnb(c, shape)
+                                                : stage_with_snuqs(c, shape);
   validate_staging(c, staged, shape);
   EXPECT_GE(staged.stages.size(), 1u);
 }
@@ -108,11 +109,12 @@ TEST(Staging, GhzChainStageCountMatchesPrefixPacking) {
   const int n = 8;
   const Circuit c = circuits::ghz(n);
   const MachineShape shape = shape_of(n, 4, 2, 2);
-  const StagedCircuit via_bnb = stage_circuit(c, shape, "bnb");
-  const StagedCircuit via_ilp = stage_circuit(c, shape, "ilp");
+  const StagedCircuit via_bnb = stage_with_bnb(c, shape);
+  const auto via_ilp = stage_with_ilp(c, shape);
+  ASSERT_TRUE(via_ilp.has_value());
   validate_staging(c, via_bnb, shape);
-  validate_staging(c, via_ilp, shape);
-  EXPECT_EQ(via_bnb.stages.size(), via_ilp.stages.size());
+  validate_staging(c, *via_ilp, shape);
+  EXPECT_EQ(via_bnb.stages.size(), via_ilp->stages.size());
 }
 
 struct CrossCase {
@@ -142,14 +144,14 @@ TEST_P(IlpVsBnbTest, StageCountsAgree) {
   // The ILP is exact (Theorem 1: minimum feasible stage count). The
   // specialized engine must match it on every small instance.
   const CrossCase cse = cross_cases()[GetParam()];
-  StagingOptions ilp_opt;
-  ilp_opt.ilp.node_budget = 200000;
-  const StagedCircuit via_ilp =
-      stage_circuit(cse.circuit, cse.shape, "ilp", ilp_opt);
-  const StagedCircuit via_bnb = stage_circuit(cse.circuit, cse.shape, "bnb");
-  validate_staging(cse.circuit, via_ilp, cse.shape);
+  IlpStagerOptions ilp_opt;
+  ilp_opt.node_budget = 200000;
+  const auto via_ilp = stage_with_ilp(cse.circuit, cse.shape, ilp_opt);
+  ASSERT_TRUE(via_ilp.has_value()) << cse.name;
+  const StagedCircuit via_bnb = stage_with_bnb(cse.circuit, cse.shape);
+  validate_staging(cse.circuit, *via_ilp, cse.shape);
   validate_staging(cse.circuit, via_bnb, cse.shape);
-  EXPECT_EQ(via_bnb.stages.size(), via_ilp.stages.size()) << cse.name;
+  EXPECT_EQ(via_bnb.stages.size(), via_ilp->stages.size()) << cse.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallInstances, IlpVsBnbTest,
@@ -162,7 +164,7 @@ TEST(Staging, BnbNeverWorseThanSnuqsOnFamilies) {
     const int n = 12;
     const Circuit c = circuits::make_family(family, n);
     const MachineShape shape = shape_of(n, 7, 2, 3);
-    const auto atlas_staged = stage_circuit(c, shape, "bnb");
+    const auto atlas_staged = stage_with_bnb(c, shape);
     const auto snuqs_staged = stage_with_snuqs(c, shape);
     validate_staging(c, atlas_staged, shape);
     validate_staging(c, snuqs_staged, shape);

@@ -22,10 +22,8 @@
 #include "ir/gate.h"
 #include "ir/matrix.h"
 #include "ir/param.h"
-#include "kernelize/kernelizer.h"
 #include "noise/channel.h"
 #include "noise/model.h"
-#include "staging/registry.h"
 #include "staging/stage.h"
 #include "verify/verify.h"
 
@@ -53,8 +51,7 @@ exec::ExecutionPlan make_plan(const Circuit& circuit,
   CompilePipeline::Config pc;
   pc.shape = shape;
   pc.verify = VerifyLevel::off;  // tests corrupt the artifacts themselves
-  CompilePipeline pipeline(pc, staging::stager_registry().create("auto"),
-                          kernelize::kernelizer_registry().create("best"));
+  const CompilePipeline pipeline(pc);
   return pipeline.build_plan(circuit, nullptr);
 }
 
@@ -359,8 +356,7 @@ TEST(VerifyProperty, TableOneFamiliesCleanAtParanoid) {
       pc.shape = {n - 2, 1, 1};
       pc.opt.level = opt_level;
       pc.verify = VerifyLevel::paranoid;  // pipeline throws on any finding
-      CompilePipeline pipeline(pc, staging::stager_registry().create("auto"),
-                              kernelize::kernelizer_registry().create("best"));
+      const CompilePipeline pipeline(pc);
       exec::ExecutionPlan plan;
       ASSERT_NO_THROW(plan = pipeline.build_plan(pipeline.optimize(c), nullptr));
       EXPECT_TRUE(clean(verify::verify_plan(plan, pc.shape, nullptr,
@@ -389,8 +385,7 @@ TEST(VerifyProperty, SeededFamiliesCleanAtParanoid) {
       pc.shape = {n - 2, 1, 1};
       pc.opt.level = opt_level;
       pc.verify = VerifyLevel::paranoid;
-      CompilePipeline pipeline(pc, staging::stager_registry().create("auto"),
-                              kernelize::kernelizer_registry().create("best"));
+      const CompilePipeline pipeline(pc);
       ASSERT_NO_THROW(pipeline.build_plan(pipeline.optimize(c), nullptr));
     }
   }

@@ -23,13 +23,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
+#include "common/parse.h"
 #include "core/pipeline.h"
-#include "kernelize/kernelizer.h"
 #include "qasm/qasm.h"
-#include "staging/registry.h"
 #include "verify/verify.h"
 
 namespace {
@@ -67,13 +67,19 @@ bool parse_level(const std::string& s, VerifyLevel& out) {
   return true;
 }
 
+/// "L,R,G": three whole decimal qubit counts, each in [0, 63].
 bool parse_shape(const std::string& s, atlas::staging::MachineShape& out) {
-  int l = 0, r = 0, g = 0;
-  if (std::sscanf(s.c_str(), "%d,%d,%d", &l, &r, &g) != 3) return false;
-  if (l < 0 || r < 0 || g < 0) return false;
-  out.num_local = l;
-  out.num_regional = r;
-  out.num_global = g;
+  int* fields[] = {&out.num_local, &out.num_regional, &out.num_global};
+  std::size_t begin = 0;
+  for (int k = 0; k < 3; ++k) {
+    const std::size_t end = k < 2 ? s.find(',', begin) : s.size();
+    if (end == std::string::npos) return false;
+    const auto value = atlas::parse_uint(
+        std::string_view(s).substr(begin, end - begin), 0, 63);
+    if (!value) return false;
+    *fields[k] = static_cast<int>(*value);
+    begin = end + 1;
+  }
   return true;
 }
 
@@ -151,9 +157,7 @@ int lint_file(const std::string& file, const Options& opts) {
     pc.opt.level = opts.opt_level;
     pc.verify = opts.level == VerifyLevel::off ? VerifyLevel::boundaries
                                                : opts.level;
-    atlas::CompilePipeline pipeline(
-        pc, atlas::staging::stager_registry().create("auto"),
-        atlas::kernelize::kernelizer_registry().create("best"));
+    const atlas::CompilePipeline pipeline(pc);
     try {
       atlas::CompileDiagnostics diag;
       pipeline.build_plan(pipeline.optimize(parsed.circuit), &diag);
@@ -244,11 +248,13 @@ int main(int argc, char** argv) {
       }
       opts.have_shape = true;
     } else if (arg == "--opt" && i + 1 < argc) {
-      opts.opt_level = std::atoi(argv[++i]);
-      if (opts.opt_level < 0 || opts.opt_level > 2) {
-        std::fprintf(stderr, "atlas-lint: bad --opt '%s'\n", argv[i]);
+      const auto level = atlas::parse_uint(argv[++i], 0, 2);
+      if (!level) {
+        std::fprintf(stderr, "atlas-lint: bad --opt '%s' (want 0, 1 or 2)\n",
+                     argv[i]);
         return 2;
       }
+      opts.opt_level = static_cast<int>(*level);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "atlas-lint: unknown option '%s'\n", arg.c_str());
       usage();

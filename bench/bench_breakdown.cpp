@@ -7,11 +7,12 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/parse.h"
 #include "util.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
-  const int local = argc > 1 ? std::atoi(argv[1]) : 14;
+  const int local = argc > 1 ? parse_arg(argv[0], "local", argv[1], 3, 39) : 14;
 
   bench::print_header(
       "Figure 6 — simulation time breakdown (communication share)",

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "common/parse.h"
 #include "common/timer.h"
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
@@ -16,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace atlas;
   using namespace atlas::kernelize;
-  const int max_k = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int max_k = argc > 1 ? parse_arg(argv[0], "max_k", argv[1], 4, 10) : 10;
 
   bench::print_header(
       "Table II + Figures 25/37 — hhl case study (many gates, few qubits)",

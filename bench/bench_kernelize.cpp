@@ -22,7 +22,7 @@
 //            (L=12), a few seconds;
 //   --json   writes the stage table (and the Figure 10 geomeans) to
 //            PATH, e.g. BENCH_kernelize.json.
-// Exits 1 if any kernelization it builds fails validate_kernelization.
+// Exits 1 if any kernelization it builds fails verify_kernelization.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,12 +31,13 @@
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "common/fnv.h"
+#include "common/parse.h"
 #include "common/timer.h"
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
 #include "kernelize/ordered.h"
+#include "verify/verify.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "util.h"
@@ -58,16 +59,13 @@ void mix_plan(Fnv& f, const Kernelization& k) {
   f.mix_double(k.total_cost);
 }
 
-/// False (and a printed reason) if `k` is not a valid kernelization.
+/// False (and a printed report) if `k` is not a valid kernelization.
 bool valid(const Circuit& c, const Kernelization& k, const CostModel& model,
            const std::string& what) {
-  try {
-    validate_kernelization(c, k, model);
-    return true;
-  } catch (const Error& e) {
-    std::printf("INVALID: %s: %s\n", what.c_str(), e.what());
-    return false;
-  }
+  const verify::VerifyReport report = verify::verify_kernelization(c, k, model);
+  if (!report.ok())
+    std::printf("INVALID: %s: %s\n", what.c_str(), report.to_string().c_str());
+  return report.ok();
 }
 
 struct FamilyRel {
@@ -239,7 +237,7 @@ int run(bool smoke, const char* json_path, int n_hi_arg) {
   }
 
   if (!ok) {
-    std::printf("FAIL: a kernelization failed validate_kernelization\n");
+    std::printf("FAIL: a kernelization failed verify_kernelization\n");
     return 1;
   }
   std::printf("%s\n", smoke ? "SMOKE PASS" : "PASS");
@@ -259,7 +257,7 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
     else
-      n_hi = std::atoi(argv[i]);
+      n_hi = atlas::parse_arg(argv[0], "max_qubits", argv[i], 28, 62);
   }
   return atlas::bench::run(smoke, json_path, n_hi);
 }

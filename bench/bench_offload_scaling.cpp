@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/parse.h"
 #include "common/timer.h"
 #include "util.h"
 
@@ -157,7 +158,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
     else
-      local = std::atoi(argv[i]);
+      local = atlas::parse_arg(argv[0], "local", argv[i], 3, 39);
   }
   bench::figure8(smoke ? 12 : local);
   if (!bench::batched_ladder(smoke)) {

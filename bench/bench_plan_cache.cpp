@@ -11,12 +11,15 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/timer.h"
 #include "util.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
-  const int n_lo = 16, n_hi = argc > 1 ? std::atoi(argv[1]) : 24;
+  const int n_lo = 16;
+  const int n_hi =
+      argc > 1 ? parse_arg(argv[0], "max_qubits", argv[1], n_lo, 43) : 24;
   constexpr int kHitReps = 1000;
 
   bench::print_header(

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/timer.h"
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace atlas::kernelize;
   // The paper sweeps all 99 circuits; one size per family keeps this
   // bench in budget (pass a different size to widen).
-  const int n = argc > 1 ? std::atoi(argv[1]) : 30;
+  const int n = argc > 1 ? parse_arg(argv[0], "qubits", argv[1], 1, 62) : 30;
 
   bench::print_header(
       "Figure 13 — pruning threshold T: cost vs preprocessing time",

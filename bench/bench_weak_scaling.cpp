@@ -11,12 +11,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/parse.h"
 #include "util.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
   using baselines::BaselineKind;
-  const int local = argc > 1 ? std::atoi(argv[1]) : 13;
+  const int local = argc > 1 ? parse_arg(argv[0], "local", argv[1], 3, 39) : 13;
 
   bench::print_header(
       "Figure 5 — weak scaling vs HyQuas / cuQuantum / Qiskit",

@@ -8,12 +8,13 @@
 //
 //   e.g. ./build/atlas_cli ghz --qubits 18 --local 14 --regional 2 --global 2 --shots 8
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "circuits/families.h"
+#include "common/parse.h"
 #include "core/session.h"
 #include "exec/queries.h"
 #include "opt/rewrite.h"
@@ -21,9 +22,13 @@
 
 namespace {
 
-int arg_int(int argc, char** argv, const char* flag, int fallback) {
+/// The value of `flag` parsed whole in [lo, hi] (exit 2 on junk), or
+/// `fallback` when the flag is absent.
+int arg_int(int argc, char** argv, const char* flag, int fallback, int lo,
+            int hi) {
   for (int i = 2; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0)
+      return atlas::parse_arg(argv[0], flag, argv[i + 1], lo, hi);
   return fallback;
 }
 
@@ -40,7 +45,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string spec = argv[1];
-  const int n = arg_int(argc, argv, "--qubits", 16);
+  const int n = arg_int(argc, argv, "--qubits", 16, 1, 62);
 
   Circuit circuit;
   try {
@@ -55,19 +60,21 @@ int main(int argc, char** argv) {
   }
 
   const int nq = circuit.num_qubits();
-  const int local = arg_int(argc, argv, "--local", std::max(3, nq - 4));
+  const int local =
+      arg_int(argc, argv, "--local", std::max(3, nq - 4), 3, 39);
   const int regional =
-      arg_int(argc, argv, "--regional", std::min(2, nq - local));
-  const int global = arg_int(argc, argv, "--global", nq - local - regional);
-  const int shots = arg_int(argc, argv, "--shots", 8);
-  const int seed = arg_int(argc, argv, "--seed", 1);
+      arg_int(argc, argv, "--regional", std::min(2, nq - local), 0, 23);
+  const int global =
+      arg_int(argc, argv, "--global", nq - local - regional, 0, 23);
+  const int shots = arg_int(argc, argv, "--shots", 8, 0, 1 << 20);
+  const int seed = arg_int(argc, argv, "--seed", 1, 0, INT_MAX);
 
   SessionConfig cfg;
   cfg.cluster.local_qubits = local;
   cfg.cluster.regional_qubits = regional;
   cfg.cluster.global_qubits = global;
   cfg.cluster.gpus_per_node =
-      arg_int(argc, argv, "--gpus-per-node", 1 << regional);
+      arg_int(argc, argv, "--gpus-per-node", 1 << regional, 1, 1 << 23);
 
   const CircuitStats stats = statistics(circuit);
   std::printf("circuit: %s — %d qubits, %d gates, depth %d "

@@ -6,19 +6,16 @@
 //   ./build/examples/offload_demo [num_qubits]   (default 20)
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/baselines.h"
 #include "circuits/families.h"
+#include "common/parse.h"
 #include "core/session.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 20;
-  if (n < 10 || n > 26) {
-    std::fprintf(stderr, "num_qubits must be in [10, 26]\n");
-    return 1;
-  }
+  const int n =
+      argc > 1 ? parse_arg(argv[0], "num_qubits", argv[1], 10, 26) : 20;
 
   // One node, one physical GPU holding 2^(n-3) amplitudes; the full
   // 2^n state lives in DRAM as 8 shards.

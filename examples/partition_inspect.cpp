@@ -8,11 +8,11 @@
 //        ./build/examples/partition_inspect my_circuit.qasm
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "baselines/baselines.h"
 #include "circuits/families.h"
+#include "common/parse.h"
 #include "core/session.h"
 #include "qasm/qasm.h"
 #include "staging/snuqs.h"
@@ -20,14 +20,15 @@
 int main(int argc, char** argv) {
   using namespace atlas;
   const std::string spec = argc > 1 ? argv[1] : "qft";
-  const int n = argc > 2 ? std::atoi(argv[2]) : 24;
+  const int n = argc > 2 ? parse_arg(argv[0], "qubits", argv[2], 1, 62) : 24;
   Circuit circuit;
   if (spec.size() > 5 && spec.substr(spec.size() - 5) == ".qasm") {
     circuit = qasm::parse_file(spec);
   } else {
     circuit = circuits::make_family(spec, n);
   }
-  const int local = argc > 3 ? std::atoi(argv[3]) : circuit.num_qubits() - 4;
+  const int local = argc > 3 ? parse_arg(argv[0], "local", argv[3], 3, 39)
+                             : circuit.num_qubits() - 4;
   const int regional = std::min(2, circuit.num_qubits() - local);
   const int global = circuit.num_qubits() - local - regional;
 

@@ -6,18 +6,15 @@
 //   ./build/examples/qft_demo [num_qubits]   (default 18)
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "circuits/families.h"
+#include "common/parse.h"
 #include "core/session.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 18;
-  if (n < 8 || n > 26) {
-    std::fprintf(stderr, "num_qubits must be in [8, 26]\n");
-    return 1;
-  }
+  const int n =
+      argc > 1 ? parse_arg(argv[0], "num_qubits", argv[1], 8, 26) : 18;
 
   SessionConfig cfg;
   cfg.cluster.local_qubits = n - 4;

@@ -5,6 +5,7 @@
 #include "kernelize/ordered.h"
 #include "staging/snuqs.h"
 #include "staging/stager.h"
+#include "verify/verify.h"
 
 namespace atlas::baselines {
 namespace {
@@ -110,7 +111,7 @@ exec::ExecutionPlan plan_baseline(BaselineKind kind, const Circuit& circuit,
 
   staging::StagedCircuit staged = stage_for(kind, circuit, shape);
   naive_global_assignment(staged, shape);
-  staging::validate_staging(circuit, staged, shape);
+  verify::check(verify::verify_staged(circuit, staged, shape));
 
   exec::ExecutionPlan plan;
   plan.staging_comm_cost = staged.comm_cost;
@@ -121,11 +122,10 @@ exec::ExecutionPlan plan_baseline(BaselineKind kind, const Circuit& circuit,
     ps.partition = stage.partition;
     ps.subcircuit = circuit.subcircuit(stage.gate_indices);
     ps.kernels = kernels_for(kind, ps.subcircuit, config.cost_model);
-    kernelize::validate_kernelization(ps.subcircuit, ps.kernels,
-                                      config.cost_model);
     plan.kernel_cost_total += ps.kernels.total_cost;
     plan.stages.push_back(std::move(ps));
   }
+  verify::check(verify::verify_plan(plan, shape, config.cost_model, &circuit));
   return plan;
 }
 

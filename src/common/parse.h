@@ -7,6 +7,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string_view>
 #include <system_error>
@@ -27,6 +29,21 @@ inline std::optional<std::uint64_t> parse_uint(std::string_view text,
   if (ec != std::errc() || end != last || value < lo || value > hi)
     return std::nullopt;
   return value;
+}
+
+/// parse_uint for one command-line value of a program that runs in
+/// [lo, hi], 0 <= lo <= hi: on junk, prints "<program>: <what> '<text>' is not an
+/// integer in [lo, hi]" to stderr and exits 2.
+inline int parse_arg(const char* program, const char* what, const char* text,
+                     int lo, int hi) {
+  const auto value = parse_uint(text, static_cast<std::uint64_t>(lo),
+                                static_cast<std::uint64_t>(hi));
+  if (!value) {
+    std::fprintf(stderr, "%s: %s '%s' is not an integer in [%d, %d]\n",
+                 program, what, text, lo, hi);
+    std::exit(2);
+  }
+  return static_cast<int>(*value);
 }
 
 }  // namespace atlas

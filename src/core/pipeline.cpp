@@ -60,10 +60,6 @@ CompilePipeline::CompilePipeline(Config config)
   pass_ctx_.options = config_.opt.pass;
 }
 
-void CompilePipeline::dump(CompileDump payload) const {
-  if (config_.dump) config_.dump(payload);
-}
-
 Circuit CompilePipeline::optimize(const Circuit& circuit,
                                   opt::OptReport* report) const {
   return passes_.run(circuit, pass_ctx_, report);
@@ -88,9 +84,7 @@ exec::ExecutionPlan CompilePipeline::build_plan(const Circuit& circuit,
   obs::TraceSpan stage_span(obs::names::kSpanCompileStage);
   const staging::StagedCircuit staged =
       staging::stage_circuit(circuit, config_.shape, config_.staging);
-  staging::validate_staging(circuit, staged, config_.shape);
-  if (config_.verify != verify::VerifyLevel::off)
-    check_phase(verify::verify_staged(circuit, staged, config_.shape), diag);
+  check_phase(verify::verify_staged(circuit, staged, config_.shape), diag);
   stage_span.end();
   {
     static obs::Histogram& stage_us =
@@ -102,7 +96,6 @@ exec::ExecutionPlan CompilePipeline::build_plan(const Circuit& circuit,
                             circuit.num_gates()});
     diag->num_stages = staged.stages.size();
   }
-  dump({"stage", &circuit, &staged, nullptr});
 
   t.reset();
   obs::TraceSpan kernelize_span(obs::names::kSpanCompileKernelize);
@@ -115,15 +108,12 @@ exec::ExecutionPlan CompilePipeline::build_plan(const Circuit& circuit,
     ps.subcircuit = circuit.subcircuit(stage.gate_indices);
     ps.kernels = kernelize::kernelize_best(ps.subcircuit, config_.cost_model,
                                            config_.kernelize);
-    kernelize::validate_kernelization(ps.subcircuit, ps.kernels,
-                                      config_.cost_model);
     plan.kernel_cost_total += ps.kernels.total_cost;
     plan.stages.push_back(std::move(ps));
   }
-  if (config_.verify != verify::VerifyLevel::off)
-    check_phase(verify::verify_plan(plan, config_.shape, &circuit,
-                                    config_.verify),
-                diag);
+  check_phase(verify::verify_plan(plan, config_.shape, config_.cost_model,
+                                  &circuit, config_.verify),
+              diag);
   kernelize_span.end();
   {
     static obs::Histogram& kernelize_us =
@@ -133,7 +123,6 @@ exec::ExecutionPlan CompilePipeline::build_plan(const Circuit& circuit,
   if (diag != nullptr)
     diag->phases.push_back({"kernelize", t.seconds(), circuit.num_gates(),
                             circuit.num_gates()});
-  dump({"kernelize", nullptr, nullptr, &plan});
   return plan;
 }
 
@@ -143,7 +132,6 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   CompiledCircuit cc;
   auto diag = std::make_shared<CompileDiagnostics>();
   diag->verify_level = config_.verify;
-  const bool verifying = config_.verify != verify::VerifyLevel::off;
   Timer total;
   {
     static obs::Counter& compiles = obs::counter(obs::names::kCompileCount);
@@ -154,9 +142,7 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   Timer t;
   obs::TraceSpan optimize_span(obs::names::kSpanCompileOptimize);
   Circuit optimized = passes_.run(circuit, pass_ctx_, &diag->opt);
-  if (verifying)
-    check_phase(verify::verify_circuit(optimized, config_.verify),
-                diag.get());
+  check_phase(verify::verify_circuit(optimized, config_.verify), diag.get());
   optimize_span.end();
   {
     static obs::Histogram& optimize_us =
@@ -165,16 +151,13 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   }
   diag->phases.push_back({"optimize", t.seconds(), circuit.num_gates(),
                           optimized.num_gates()});
-  dump({"optimize", &optimized, nullptr, nullptr});
 
   // Phase 2: canonicalize (parameters -> dense slots).
   t.reset();
   obs::TraceSpan canonicalize_span(obs::names::kSpanCompileCanonicalize);
   auto optimized_shared = std::make_shared<const Circuit>(std::move(optimized));
   Circuit canonical = canonicalize(*optimized_shared, cc.slots_);
-  if (verifying)
-    check_phase(verify::verify_circuit(canonical, config_.verify),
-                diag.get());
+  check_phase(verify::verify_circuit(canonical, config_.verify), diag.get());
   canonicalize_span.end();
   {
     static obs::Histogram& canonicalize_us =
@@ -184,7 +167,6 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   diag->phases.push_back({"canonicalize", t.seconds(),
                           optimized_shared->num_gates(),
                           canonical.num_gates()});
-  dump({"canonicalize", &canonical, nullptr, nullptr});
 
   cc.circuit_ = std::make_shared<const Circuit>(circuit);
   cc.optimized_ = optimized_shared;
@@ -197,8 +179,9 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   // cache-hit path re-verifies the cached plan too.
   cc.plan_ = resolver(cc.plan_key_, canonical, *diag);
   ATLAS_CHECK(cc.plan_ != nullptr, "plan resolver returned null");
-  if (config_.verify >= verify::VerifyLevel::paranoid && diag->plan_cached)
-    check_phase(verify::verify_plan(*cc.plan_, config_.shape, &canonical,
+  if (config_.verify == verify::VerifyLevel::paranoid && diag->plan_cached)
+    check_phase(verify::verify_plan(*cc.plan_, config_.shape,
+                                    config_.cost_model, &canonical,
                                     config_.verify),
                 diag.get());
 
@@ -206,7 +189,7 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   t.reset();
   obs::TraceSpan program_span(obs::names::kSpanCompileProgram);
   cc.build_slot_programs();
-  if (verifying) check_phase(verify::verify_compiled(cc), diag.get());
+  check_phase(verify::verify_compiled(cc), diag.get());
   program_span.end();
   {
     static obs::Histogram& program_us =
@@ -216,7 +199,6 @@ CompiledCircuit CompilePipeline::compile(const Circuit& circuit,
   diag->num_stages = cc.plan_->stages.size();
   diag->phases.push_back({"program", t.seconds(), canonical.num_gates(),
                           canonical.num_gates()});
-  dump({"program", nullptr, nullptr, cc.plan_.get()});
 
   diag->total_seconds = total.seconds();
   {

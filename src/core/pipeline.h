@@ -21,10 +21,12 @@
 ///   are skipped entirely on a cache hit; diagnostics record that).
 /// * **program** — slot-program compilation and handle assembly.
 ///
-/// Each phase is timed into CompileDiagnostics (retrievable from the
-/// returned CompiledCircuit) and reported to the optional dump hook,
-/// which sees the circuit/staging/plan snapshot after the phase — the
-/// debugging seam for "what did the optimizer do to my circuit".
+/// Each phase hands its output to the next under a contract that the
+/// verifier (verify/verify.h) checks in every build: verify_circuit
+/// after optimize and canonicalize, verify_staged after stage,
+/// verify_plan (verify_kernelization per stage) after kernelize, and
+/// verify_compiled after program. Each phase is timed into
+/// CompileDiagnostics, retrievable from the returned CompiledCircuit.
 
 #include <cstdint>
 #include <functional>
@@ -59,25 +61,13 @@ struct CompileDiagnostics {
   bool plan_cached = false;
   std::size_t num_stages = 0;
   double total_seconds = 0;
-  /// The verify level the pipeline ran at, so tooling can tell a clean
-  /// compile from an unchecked one.
-  verify::VerifyLevel verify_level = verify::VerifyLevel::off;
+  /// The verify level the pipeline ran at.
+  verify::VerifyLevel verify_level = verify::VerifyLevel::boundaries;
   /// Structured verifier findings. Populated right before the pipeline
   /// throws on a broken phase hand-off; empty on success. build_plan()
   /// callers passing a CompileDiagnostics keep these across the throw.
   std::vector<verify::VerifyDiagnostic> verify;
 };
-
-/// Snapshot handed to the dump hook after each phase; only the
-/// pointers relevant to that phase are non-null, and none outlive the
-/// hook invocation.
-struct CompileDump {
-  std::string phase;
-  const Circuit* circuit = nullptr;                // optimize, canonicalize
-  const staging::StagedCircuit* staged = nullptr;  // stage
-  const exec::ExecutionPlan* plan = nullptr;       // kernelize, program
-};
-using CompileDumpHook = std::function<void(const CompileDump&)>;
 
 class CompilePipeline {
  public:
@@ -91,16 +81,8 @@ class CompilePipeline {
     /// `boundaries` runs the structural checkers after every phase,
     /// `paranoid` adds the numeric ones (unitarity). Cached plans were
     /// verified when built, so `boundaries` skips re-checking them on
-    /// a cache hit; `paranoid` re-checks. Defaults to `boundaries` in
-    /// Debug builds and `off` in Release.
-    verify::VerifyLevel verify =
-#ifndef NDEBUG
-        verify::VerifyLevel::boundaries;
-#else
-        verify::VerifyLevel::off;
-#endif
-    /// Invoked after every phase when set; exceptions propagate.
-    CompileDumpHook dump;
+    /// a cache hit; `paranoid` re-checks.
+    verify::VerifyLevel verify = verify::VerifyLevel::boundaries;
   };
 
   /// The plan-cache seam: compile() hands the post-optimization key
@@ -139,8 +121,6 @@ class CompilePipeline {
   const opt::PassManager& passes() const { return passes_; }
 
  private:
-  void dump(CompileDump payload) const;
-
   Config config_;
   opt::PassManager passes_;
   opt::PassContext pass_ctx_;

@@ -171,7 +171,6 @@ Session::Session(SessionConfig config, std::shared_ptr<PlanCache> plan_cache)
         pc.kernelize = config_.kernelize;
         pc.opt.level = config_.opt_level;
         pc.verify = config_.verify_level;
-        pc.dump = config_.compile_dump;
         return std::make_unique<CompilePipeline>(std::move(pc));
       }()),
       plan_cache_(std::move(plan_cache)),

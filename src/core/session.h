@@ -96,24 +96,14 @@ struct SessionConfig {
   /// per session for standalone simulation workloads.
   int opt_level = 0;
   /// Invariant verification level for the compile pipeline and the
-  /// noise path (verify/verify.h, docs/VERIFY.md):
-  ///   off        — only the always-on legacy validators run;
+  /// noise path (verify/verify.h, docs/VERIFY.md), the same in every
+  /// build type:
   ///   boundaries — structural checkers at every compile phase
-  ///                hand-off (cheap, no numerics; the Debug default);
+  ///                hand-off (cheap, no numerics; the default);
   ///   paranoid   — boundaries plus numeric checks: unitarity of
   ///                explicit matrices, CPTP of noise channels, and
   ///                re-verification of cache-hit plans.
-  /// Defaults to `boundaries` in Debug builds and `off` in Release.
-  verify::VerifyLevel verify_level =
-#ifndef NDEBUG
-      verify::VerifyLevel::boundaries;
-#else
-      verify::VerifyLevel::off;
-#endif
-  /// Optional per-phase dump hook: invoked after every compile phase
-  /// (optimize, canonicalize, stage, kernelize, program) with the
-  /// phase's snapshot. Cache-hit compiles skip stage/kernelize.
-  CompileDumpHook compile_dump;
+  verify::VerifyLevel verify_level = verify::VerifyLevel::boundaries;
   /// Base seed for every sampling path the session owns: noise
   /// trajectories, readout-error draws, and SimulationResult::sample()
   /// without an explicit Rng. All of them derive counter-based streams

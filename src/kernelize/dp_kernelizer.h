@@ -47,7 +47,7 @@ struct DpOptions {
 
 /// Kernelizes `circuit` (typically one stage's subcircuit) minimizing
 /// total kernel cost under `model`. The result passes
-/// validate_kernelization().
+/// verify::verify_kernelization().
 Kernelization kernelize_dp(const Circuit& circuit, const CostModel& model,
                            const DpOptions& options = {});
 

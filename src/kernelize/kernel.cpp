@@ -1,11 +1,5 @@
 #include "kernelize/kernel.h"
 
-#include <algorithm>
-#include <unordered_map>
-
-#include "common/error.h"
-#include "sim/fusion.h"
-
 namespace atlas::kernelize {
 
 double kernel_cost(const Circuit& circuit, const Kernel& kernel,
@@ -17,60 +11,6 @@ double kernel_cost(const Circuit& circuit, const Kernel& kernel,
   for (int gi : kernel.gate_indices)
     c += model.shm_gate_cost(circuit.gate(gi));
   return c;
-}
-
-void validate_kernelization(const Circuit& circuit, const Kernelization& k,
-                            const CostModel& model) {
-  // Coverage: each gate in exactly one kernel.
-  std::vector<int> position_in_sequence(circuit.num_gates(), -1);
-  int pos = 0;
-  for (const Kernel& kernel : k.kernels) {
-    for (int gi : kernel.gate_indices) {
-      ATLAS_CHECK(gi >= 0 && gi < circuit.num_gates(), "bad gate index");
-      ATLAS_CHECK(position_in_sequence[gi] < 0,
-                  "gate " << gi << " appears in two kernels");
-      position_in_sequence[gi] = pos++;
-    }
-  }
-  for (int gi = 0; gi < circuit.num_gates(); ++gi)
-    ATLAS_CHECK(position_in_sequence[gi] >= 0, "gate " << gi
-                                                       << " not kernelized");
-
-  // Topological equivalence (Theorem 2): gates sharing a qubit keep
-  // their relative order in the concatenated sequence.
-  for (const auto& [a, b] : circuit.dependency_edges())
-    ATLAS_CHECK(position_in_sequence[a] < position_in_sequence[b],
-                "kernel sequence reorders dependent gates " << a << " and "
-                                                            << b);
-
-  // Per-kernel structure: qubit union, limits, and cost.
-  for (const Kernel& kernel : k.kernels) {
-    std::vector<Gate> gates;
-    for (int gi : kernel.gate_indices) gates.push_back(circuit.gate(gi));
-    const std::vector<Qubit> expected = qubit_union(gates);
-    ATLAS_CHECK(kernel.qubits == expected, "kernel qubit set mismatch");
-    if (kernel.type == KernelType::Fusion) {
-      ATLAS_CHECK(static_cast<int>(kernel.qubits.size()) <=
-                      model.max_fusion_qubits,
-                  "fusion kernel too wide: " << kernel.qubits.size());
-    } else {
-      // Active set = the qubits' physical bit positions plus the 3
-      // physical LSBs of the shard; at planning time the positions are
-      // unknown, so the budget is qubit count + 3 (conservative).
-      ATLAS_CHECK(static_cast<int>(kernel.qubits.size()) + 3 <=
-                      model.max_shm_qubits,
-                  "shared-memory kernel too wide: " << kernel.qubits.size());
-    }
-    ATLAS_CHECK(std::abs(kernel.cost - kernel_cost(circuit, kernel, model)) <
-                    1e-9,
-                "kernel cost out of sync with the cost model");
-  }
-
-  // Total cost consistency.
-  double total = 0;
-  for (const Kernel& kernel : k.kernels) total += kernel.cost;
-  ATLAS_CHECK(std::abs(total - k.total_cost) < 1e-6,
-              "total cost " << k.total_cost << " != sum of kernels " << total);
 }
 
 }  // namespace atlas::kernelize

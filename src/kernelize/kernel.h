@@ -34,12 +34,4 @@ struct Kernelization {
 double kernel_cost(const Circuit& circuit, const Kernel& kernel,
                    const CostModel& model);
 
-/// Throws atlas::Error unless `k` is a valid kernelization of
-/// `circuit`: every gate appears exactly once, each kernel's qubit
-/// union and size limits hold, and concatenating the kernels yields a
-/// sequence topologically equivalent to the circuit (Theorem 2): any
-/// two gates sharing a qubit keep their relative order.
-void validate_kernelization(const Circuit& circuit, const Kernelization& k,
-                            const CostModel& model);
-
 }  // namespace atlas::kernelize

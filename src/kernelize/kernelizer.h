@@ -16,8 +16,8 @@
 /// fraction of a percent to the ordered DP on shallow circuits; taking
 /// the min restores Theorem 6 unconditionally for the planner. The
 /// ordered pass costs a small fraction of the DP, so it always runs.
-/// Every engine returns a result that passes validate_kernelization()
-/// under its `model`.
+/// Every engine returns a result that passes
+/// verify::verify_kernelization() under its `model`.
 
 #include "ir/circuit.h"
 #include "kernelize/cost_model.h"

@@ -125,13 +125,12 @@ noise::NoisyResult Session::run_noisy(
                     << noise::kMaxProbabilityQubits << " qubits, circuit has "
                     << circuit.num_qubits());
 
-  // The noise-model contract (Kraus shapes always; CPTP and readout
-  // stochasticity numerics at paranoid) is checked once up front —
+  // The noise-model contract (Kraus shapes and readout stochasticity
+  // always; CPTP numerics at paranoid) is checked once up front —
   // trajectory sampling assumes it.
-  if (config_.verify_level != verify::VerifyLevel::off)
-    verify::check(verify::verify_noise_model(model, circuit.num_qubits(),
-                                             config_.verify_level),
-                  ErrorCode::invalid_argument);
+  verify::check(verify::verify_noise_model(model, circuit.num_qubits(),
+                                           config_.verify_level),
+                ErrorCode::invalid_argument);
 
   const std::uint64_t seed = options.seed ? options.seed : config_.seed;
   const noise::TrajectoryProgram prog =

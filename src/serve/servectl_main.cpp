@@ -175,13 +175,7 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      const auto value = atlas::parse_uint(argv[++i], 1, 65535);
-      if (!value) {
-        std::cerr << argv[0] << ": --port '" << argv[i]
-                  << "' is not an integer in [1, 65535]\n";
-        return 2;
-      }
-      port = static_cast<int>(*value);
+      port = atlas::parse_arg(argv[0], "--port", argv[++i], 1, 65535);
     } else if (arg == "--json") {
       json = true;
     } else {

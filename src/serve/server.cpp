@@ -444,16 +444,13 @@ std::vector<std::uint8_t> Server::do_submit_qasm(ServeSession& session,
   // (docs/VERIFY.md). Caller-supplied artifact, so invalid_argument ->
   // Status::invalid_argument on the wire.
   const auto verify_level = session.session().config().verify_level;
-  if (verify_level != verify::VerifyLevel::off) {
-    verify::check(verify::verify_circuit(parsed.circuit, verify_level),
+  verify::check(verify::verify_circuit(parsed.circuit, verify_level),
+                ErrorCode::invalid_argument);
+  if (!parsed.noise.empty())
+    verify::check(verify::verify_noise_model(parsed.noise,
+                                             parsed.circuit.num_qubits(),
+                                             verify_level),
                   ErrorCode::invalid_argument);
-    if (!parsed.noise.empty())
-      verify::check(
-          verify::verify_noise_model(parsed.noise,
-                                     parsed.circuit.num_qubits(),
-                                     verify_level),
-          ErrorCode::invalid_argument);
-  }
   StoredCircuit stored;
   stored.symbols = parsed.circuit.symbols();
   stored.has_noise = !parsed.noise.empty();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/error.h"
-
 namespace atlas::staging {
 namespace {
 
@@ -34,62 +32,6 @@ double communication_cost(const std::vector<Stage>& stages,
       if (!prev_global.count(q)) cost += cost_factor;
   }
   return cost;
-}
-
-void validate_staging(const Circuit& circuit, const StagedCircuit& staged,
-                      const MachineShape& shape) {
-  ATLAS_CHECK(shape.total() == circuit.num_qubits(),
-              "machine shape totals " << shape.total() << " qubits, circuit has "
-                                      << circuit.num_qubits());
-  // Gate coverage: each gate exactly once, stages in dependency order.
-  std::vector<int> stage_of_gate(circuit.num_gates(), -1);
-  for (std::size_t k = 0; k < staged.stages.size(); ++k) {
-    for (int gi : staged.stages[k].gate_indices) {
-      ATLAS_CHECK(gi >= 0 && gi < circuit.num_gates(), "bad gate index " << gi);
-      ATLAS_CHECK(stage_of_gate[gi] < 0, "gate " << gi << " staged twice");
-      stage_of_gate[gi] = static_cast<int>(k);
-    }
-  }
-  for (int gi = 0; gi < circuit.num_gates(); ++gi)
-    ATLAS_CHECK(stage_of_gate[gi] >= 0, "gate " << gi << " never staged");
-
-  // Dependencies: a gate's stage must be >= its predecessors' stages
-  // (down-closedness of stage prefixes).
-  for (const auto& [a, b] : circuit.dependency_edges())
-    ATLAS_CHECK(stage_of_gate[a] <= stage_of_gate[b],
-                "dependency violated: gate " << a << " (stage "
-                                             << stage_of_gate[a]
-                                             << ") must precede gate " << b
-                                             << " (stage " << stage_of_gate[b]
-                                             << ")");
-
-  for (std::size_t k = 0; k < staged.stages.size(); ++k) {
-    const QubitPartition& p = staged.stages[k].partition;
-    ATLAS_CHECK(static_cast<int>(p.local.size()) == shape.num_local,
-                "stage " << k << " has " << p.local.size()
-                         << " local qubits, expected " << shape.num_local);
-    ATLAS_CHECK(static_cast<int>(p.regional.size()) == shape.num_regional,
-                "stage " << k << " regional size mismatch");
-    ATLAS_CHECK(static_cast<int>(p.global.size()) == shape.num_global,
-                "stage " << k << " global size mismatch");
-    // Partition covers every qubit exactly once.
-    std::vector<int> seen(circuit.num_qubits(), 0);
-    for (Qubit q : p.local) seen.at(q)++;
-    for (Qubit q : p.regional) seen.at(q)++;
-    for (Qubit q : p.global) seen.at(q)++;
-    for (int q = 0; q < circuit.num_qubits(); ++q)
-      ATLAS_CHECK(seen[q] == 1, "stage " << k << ": qubit " << q
-                                         << " appears " << seen[q]
-                                         << " times in the partition");
-    // Locality: non-insular qubits of each staged gate are local.
-    const auto local = to_set(p.local);
-    for (int gi : staged.stages[k].gate_indices)
-      for (Qubit q : circuit.gate(gi).non_insular_qubits())
-        ATLAS_CHECK(local.count(q), "stage " << k << ": gate " << gi << " ("
-                                             << circuit.gate(gi).to_string()
-                                             << ") has non-insular qubit " << q
-                                             << " outside the local set");
-  }
 }
 
 }  // namespace atlas::staging

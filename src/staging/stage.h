@@ -54,11 +54,4 @@ struct MachineShape {
 double communication_cost(const std::vector<Stage>& stages,
                           double cost_factor);
 
-/// Throws atlas::Error if `staged` is not a valid staging of `circuit`
-/// for `shape`: partition sizes, gate coverage (each gate exactly
-/// once), dependency order (each stage's set is down-closed), and
-/// locality (non-insular qubits of each gate local in its stage).
-void validate_staging(const Circuit& circuit, const StagedCircuit& staged,
-                      const MachineShape& shape);
-
 }  // namespace atlas::staging

@@ -33,7 +33,7 @@ struct StagingOptions {
 /// Stages `circuit` for `shape`: the exact ILP when the reduced model
 /// has at most 12 gates, the circuit at most 9 qubits and the ILP
 /// finishes within its node budget; the branch-and-bound search
-/// otherwise. The result always passes validate_staging(). Throws
+/// otherwise. The result always passes verify::verify_staged(). Throws
 /// atlas::Error when no staging exists (a gate with more non-insular
 /// qubits than local capacity).
 StagedCircuit stage_circuit(const Circuit& circuit, const MachineShape& shape,

@@ -16,22 +16,22 @@
 namespace atlas::verify {
 
 /// How much invariant checking the engine performs (SessionConfig::
-/// verify_level, CompilePipeline::Config::verify).
+/// verify_level, CompilePipeline::Config::verify). Every build checks
+/// at least the phase hand-offs.
 ///
-///  * `off`        — no verifier runs; only the always-on legacy
-///                   validators (validate_staging/validate_kernelization)
-///                   guard the pipeline.
 ///  * `boundaries` — structural invariants are checked at every compile
 ///                   phase hand-off (optimize, canonicalize, stage,
-///                   kernelize, program) and at the serve data plane's
-///                   QASM ingest. Cheap: O(gates + stages * qubits),
-///                   no numerics. The Debug-build default.
+///                   kernelize, program), before noisy runs and at the
+///                   serve data plane's QASM ingest. Cheap:
+///                   O(gates + stages * qubits), no numerics. The
+///                   default.
 ///  * `paranoid`   — boundaries plus numeric checks: unitarity of every
 ///                   constant gate matrix within tolerance, CPTP /
-///                   stochasticity of noise models before noisy runs.
-enum class VerifyLevel { off = 0, boundaries = 1, paranoid = 2 };
+///                   stochasticity of noise models before noisy runs,
+///                   and re-verification of cache-hit plans.
+enum class VerifyLevel { boundaries, paranoid };
 
-/// Stable lowercase name ("off", "boundaries", "paranoid").
+/// Stable lowercase name ("boundaries", "paranoid").
 const char* verify_level_name(VerifyLevel level);
 
 /// What went wrong, as a machine-readable class. Codes are append-only:
@@ -68,6 +68,11 @@ enum class Code {
   non_cptp = 19,            ///< sum K†K deviates from I over tolerance
   kraus_shape = 20,         ///< Kraus operator not square 2^arity
   readout_not_stochastic = 21,  ///< confusion row outside [0, 1]
+  // --- Kernelization invariants (verify_kernelization) ---
+  kernel_order = 22,        ///< kernel sequence reorders dependent gates
+  kernel_width = 23,        ///< kernel wider than the cost model allows
+  kernel_cost = 24,         ///< kernel or total cost out of sync with the
+                            ///< cost model
 };
 
 /// Stable lowercase name of `code` ("qubit_out_of_range", ...).

@@ -1,6 +1,7 @@
 #include "verify/verify.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -8,6 +9,7 @@
 #include "core/compiled.h"
 #include "exec/executor.h"
 #include "exec/stage_program.h"
+#include "kernelize/kernel.h"
 #include "noise/channel.h"
 #include "noise/model.h"
 #include "staging/stage.h"
@@ -16,11 +18,10 @@ namespace atlas::verify {
 
 const char* verify_level_name(VerifyLevel level) {
   switch (level) {
-    case VerifyLevel::off: return "off";
     case VerifyLevel::boundaries: return "boundaries";
     case VerifyLevel::paranoid: return "paranoid";
   }
-  return "off";
+  return "?";
 }
 
 const char* code_name(Code code) {
@@ -47,6 +48,9 @@ const char* code_name(Code code) {
     case Code::non_cptp: return "non_cptp";
     case Code::kraus_shape: return "kraus_shape";
     case Code::readout_not_stochastic: return "readout_not_stochastic";
+    case Code::kernel_order: return "kernel_order";
+    case Code::kernel_width: return "kernel_width";
+    case Code::kernel_cost: return "kernel_cost";
   }
   return "?";
 }
@@ -267,6 +271,108 @@ void check_locality(const Circuit& gates_of, const std::vector<int>& indices,
   }
 }
 
+std::string qubit_list(const std::vector<Qubit>& qubits) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < qubits.size(); ++i)
+    out += (i > 0 ? ", " : "") + std::to_string(qubits[i]);
+  return out + "}";
+}
+
+/// The kernelization contract of one (sub)circuit. `stage` tags the
+/// diagnostics when checking a plan stage.
+void check_kernels(const Circuit& circuit, const kernelize::Kernelization& k,
+                   const kernelize::CostModel& model, VerifyReport& report,
+                   int stage = -1) {
+  const auto num_gates = static_cast<std::size_t>(circuit.num_gates());
+  // Coverage, and where each gate sits in the concatenated sequence.
+  std::vector<int> in_kernel(num_gates, 0);
+  std::vector<int> position(num_gates, -1);
+  std::vector<int> kernel_of(num_gates, -1);
+  int next = 0;
+  double total = 0;
+  for (std::size_t ki = 0; ki < k.kernels.size(); ++ki) {
+    const int kid = static_cast<int>(ki);
+    const kernelize::Kernel& kern = k.kernels[ki];
+    total += kern.cost;
+    std::vector<Qubit> touched;
+    bool indices_ok = true;
+    for (int gi : kern.gate_indices) {
+      if (gi < 0 || gi >= circuit.num_gates()) {
+        indices_ok = false;
+        add(report, Code::kernel_coverage,
+            "kernel lists gate index " + std::to_string(gi) + " outside [0, " +
+                std::to_string(circuit.num_gates()) + ")",
+            gi, stage, kid);
+        continue;
+      }
+      const auto g = static_cast<std::size_t>(gi);
+      if (in_kernel[g]++ == 0) {
+        position[g] = next++;
+        kernel_of[g] = kid;
+      }
+      const auto& qs = circuit.gate(gi).qubits();
+      touched.insert(touched.end(), qs.begin(), qs.end());
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    if (kern.qubits != touched) {
+      add(report, Code::kernel_qubits,
+          "kernel declares qubits " + qubit_list(kern.qubits) +
+              " but its gates touch " + qubit_list(touched),
+          -1, stage, kid);
+    }
+    const int width = static_cast<int>(kern.qubits.size());
+    const bool fusion = kern.type == kernelize::KernelType::Fusion;
+    // A shared-memory kernel's active set also holds the shard's 3
+    // physical LSBs, whose positions are unknown at planning time.
+    const int cap = fusion ? model.max_fusion_qubits : model.max_shm_qubits - 3;
+    if (width > cap) {
+      add(report, Code::kernel_width,
+          std::string(fusion ? "fusion" : "shared-memory") + " kernel spans " +
+              std::to_string(width) + " qubits, the cost model allows " +
+              std::to_string(cap),
+          -1, stage, kid);
+    } else if (indices_ok && (width > 0 || !fusion)) {
+      // fusion_kernel_cost() throws for width 0, so an empty fusion
+      // kernel is not priced.
+      const double want = kernelize::kernel_cost(circuit, kern, model);
+      if (std::abs(kern.cost - want) >= 1e-9) {
+        add(report, Code::kernel_cost,
+            "kernel cost " + std::to_string(kern.cost) +
+                " but the cost model gives " + std::to_string(want),
+            -1, stage, kid);
+      }
+    }
+  }
+  for (std::size_t g = 0; g < num_gates; ++g) {
+    if (in_kernel[g] != 1) {
+      add(report, Code::kernel_coverage,
+          "gate covered by " + std::to_string(in_kernel[g]) +
+              " kernels (want exactly 1)",
+          static_cast<int>(g), stage);
+    }
+  }
+  if (std::abs(total - k.total_cost) >= 1e-6) {
+    add(report, Code::kernel_cost,
+        "total cost " + std::to_string(k.total_cost) +
+            " but the kernels sum to " + std::to_string(total),
+        -1, stage);
+  }
+  // Theorem 2: gates sharing a qubit keep their relative order.
+  for (const auto& [a, b] : circuit.dependency_edges()) {
+    const int pa = position[static_cast<std::size_t>(a)];
+    const int pb = position[static_cast<std::size_t>(b)];
+    if (pa >= 0 && pb >= 0 && pa > pb) {
+      add(report, Code::kernel_order,
+          "gate " + std::to_string(a) + " (kernel " +
+              std::to_string(kernel_of[static_cast<std::size_t>(a)]) +
+              ") must precede gate " + std::to_string(b) +
+              " but the kernel sequence runs it later",
+          b, stage, kernel_of[static_cast<std::size_t>(b)]);
+    }
+  }
+}
+
 void check_kraus(const std::vector<Matrix>& ops, int num_qubits,
                  const Tolerances& tol, bool check_cptp, VerifyReport& report,
                  const std::string& what) {
@@ -309,7 +415,6 @@ VerifyReport verify_circuit(const Circuit& circuit, VerifyLevel level,
                             const Tolerances& tol) {
   VerifyReport report;
   report.subject = "circuit '" + circuit.name() + "'";
-  if (level == VerifyLevel::off) return report;
   check_circuit_core(circuit, level, tol, /*require_dense_slots=*/true,
                      report);
   return report;
@@ -376,14 +481,23 @@ VerifyReport verify_staged(const Circuit& circuit,
   return report;
 }
 
+VerifyReport verify_kernelization(const Circuit& circuit,
+                                  const kernelize::Kernelization& kernels,
+                                  const kernelize::CostModel& model) {
+  VerifyReport report;
+  report.subject = "kernelization of '" + circuit.name() + "'";
+  check_kernels(circuit, kernels, model, report);
+  return report;
+}
+
 VerifyReport verify_plan(const exec::ExecutionPlan& plan,
                          const staging::MachineShape& shape,
+                         const kernelize::CostModel& model,
                          const Circuit* original, VerifyLevel level,
                          const Tolerances& tol) {
   VerifyReport report;
   report.subject = "execution plan (" + std::to_string(plan.stages.size()) +
                    " stages)";
-  if (level == VerifyLevel::off) return report;
   std::vector<int> covered;
   if (original != nullptr)
     covered.assign(static_cast<std::size_t>(original->num_gates()), 0);
@@ -437,40 +551,7 @@ VerifyReport verify_plan(const exec::ExecutionPlan& plan,
         }
       }
     }
-    // Kernel coverage of the subcircuit.
-    std::vector<int> in_kernel(static_cast<std::size_t>(sub.num_gates()), 0);
-    for (std::size_t ki = 0; ki < ps.kernels.kernels.size(); ++ki) {
-      const kernelize::Kernel& kern = ps.kernels.kernels[ki];
-      std::set<Qubit> union_qubits;
-      for (int gi : kern.gate_indices) {
-        if (gi < 0 || gi >= sub.num_gates()) {
-          add(report, Code::kernel_coverage,
-              "kernel lists gate index " + std::to_string(gi) +
-                  " outside [0, " + std::to_string(sub.num_gates()) + ")",
-              gi, si, static_cast<int>(ki));
-          continue;
-        }
-        ++in_kernel[static_cast<std::size_t>(gi)];
-        for (Qubit q : sub.gate(gi).qubits()) union_qubits.insert(q);
-      }
-      const std::set<Qubit> declared(kern.qubits.begin(), kern.qubits.end());
-      if (declared != union_qubits) {
-        add(report, Code::kernel_qubits,
-            "kernel declares " + std::to_string(declared.size()) +
-                " qubits but its gates touch " +
-                std::to_string(union_qubits.size()),
-            -1, si, static_cast<int>(ki));
-      }
-    }
-    for (int gi = 0; gi < sub.num_gates(); ++gi) {
-      if (in_kernel[static_cast<std::size_t>(gi)] != 1) {
-        add(report, Code::kernel_coverage,
-            "gate covered by " +
-                std::to_string(in_kernel[static_cast<std::size_t>(gi)]) +
-                " kernels (want exactly 1)",
-            gi, si);
-      }
-    }
+    check_kernels(sub, ps.kernels, model, report, si);
   }
   if (original != nullptr) {
     for (int gi = 0; gi < original->num_gates(); ++gi) {
@@ -631,7 +712,6 @@ VerifyReport verify_noise_model(const noise::NoiseModel& model, int num_qubits,
                                 VerifyLevel level, const Tolerances& tol) {
   VerifyReport report;
   report.subject = "noise model";
-  if (level == VerifyLevel::off) return report;
   for (const noise::KrausChannel* ch : model.channels()) {
     check_kraus(ch->kraus_ops(), ch->num_qubits(), tol,
                 /*check_cptp=*/level >= VerifyLevel::paranoid, report,

@@ -3,23 +3,25 @@
 /// \file verify.h
 /// An MLIR-verifier-style invariant checker for every hand-off contract
 /// in the compile pipeline and the serving data plane. Each checker
-/// walks one artifact — circuit, staged circuit, execution plan,
-/// compiled handle, stage program, noise model — and returns a
-/// VerifyReport listing *every* violated invariant as a structured
-/// VerifyDiagnostic (code + location), instead of throwing on the
-/// first like the legacy validate_* helpers.
+/// walks one artifact — circuit, staged circuit, kernelization,
+/// execution plan, compiled handle, stage program, noise model — and
+/// returns a VerifyReport listing *every* violated invariant as a
+/// structured VerifyDiagnostic (code + location) instead of throwing
+/// on the first. These checkers are the only ones the engine has for
+/// its phase contracts.
 ///
 /// The checkers trust nothing about provenance: artifacts assembled by
 /// hand, deserialized from a cache, or corrupted by a buggy pass are
 /// all first-class inputs. That is the point — the pipeline's phase
 /// contracts (slot-canonical parameters, stage qubit-locality, kernel
-/// insularity, gather-table bijectivity) were previously enforced only
-/// where a downstream crash happened to notice.
+/// order and insularity, gather-table bijectivity) would otherwise be
+/// enforced only where a downstream crash happened to notice.
 ///
-/// Invariant catalog: docs/VERIFY.md. Wiring: CompilePipeline runs the
-/// phase-boundary checkers at VerifyLevel::boundaries (the Debug
-/// default); `paranoid` adds the numeric checks (unitarity, CPTP).
-/// atlas-lint drives the same checkers over QASM files from the CLI.
+/// Invariant catalog: docs/VERIFY.md. Wiring: in every build,
+/// CompilePipeline runs the phase-boundary checkers at
+/// VerifyLevel::boundaries (the default); `paranoid` adds the numeric
+/// checks (unitarity, CPTP). atlas-lint drives the same checkers over
+/// QASM files from the CLI.
 
 #include <cstdint>
 #include <vector>
@@ -35,6 +37,10 @@ namespace exec {
 struct ExecutionPlan;
 struct StageProgram;
 }  // namespace exec
+namespace kernelize {
+struct CostModel;
+struct Kernelization;
+}  // namespace kernelize
 namespace noise {
 class NoiseModel;
 struct ReadoutError;
@@ -75,16 +81,28 @@ VerifyReport verify_staged(const Circuit& circuit,
                            const staging::StagedCircuit& staged,
                            const staging::MachineShape& shape);
 
-/// Plan invariants (the kernelize phase's hand-off contract), per
-/// stage: partition validity, subcircuit consistent with
-/// original_indices, kernels covering the subcircuit exactly once with
-/// truthful qubit unions, and stage locality under the stage's own
-/// partition. When `original` is non-null, additionally checks that
+/// Kernelization invariants (the kernelize phase's hand-off contract
+/// for one stage subcircuit): every gate in exactly one kernel, each
+/// kernel's qubits the ascending union of its gates' qubits, the
+/// concatenated kernel sequence keeping every pair of gates that share
+/// a qubit in circuit order (Theorem 2), fusion kernels at most
+/// `model.max_fusion_qubits` wide and shared-memory kernels at most
+/// `model.max_shm_qubits - 3`, and each kernel's `cost` and the
+/// `total_cost` in sync with `model`.
+VerifyReport verify_kernelization(const Circuit& circuit,
+                                  const kernelize::Kernelization& kernels,
+                                  const kernelize::CostModel& model);
+
+/// Plan invariants, per stage: partition validity, subcircuit
+/// consistent with original_indices, stage locality under the stage's
+/// own partition, and verify_kernelization of the stage's kernels under
+/// `model`. When `original` is non-null, additionally checks that
 /// original_indices tile [0, original->num_gates()) exactly once
 /// across stages and each subcircuit gate matches the original gate it
 /// claims to be.
 VerifyReport verify_plan(const exec::ExecutionPlan& plan,
                          const staging::MachineShape& shape,
+                         const kernelize::CostModel& model,
                          const Circuit* original = nullptr,
                          VerifyLevel level = VerifyLevel::boundaries,
                          const Tolerances& tol = {});

@@ -15,6 +15,7 @@
 #include "kernelize/dp_kernelizer.h"
 #include "kernelize/greedy.h"
 #include "kernelize/ordered.h"
+#include "verify_matchers.h"
 
 namespace atlas {
 namespace kernelize {
@@ -78,7 +79,7 @@ TEST_P(KernelizeFamilyTest, DpProducesValidKernelization) {
   const Circuit c = circuits::make_family(GetParam(), 10);
   const CostModel m = CostModel::default_model();
   const Kernelization k = kernelize_dp(c, m);
-  validate_kernelization(c, k, m);
+  EXPECT_TRUE(clean(verify::verify_kernelization(c, k, m)));
   EXPECT_GT(k.total_cost, 0.0);
 }
 
@@ -86,14 +87,14 @@ TEST_P(KernelizeFamilyTest, OrderedProducesValidKernelization) {
   const Circuit c = circuits::make_family(GetParam(), 10);
   const CostModel m = CostModel::default_model();
   const Kernelization k = kernelize_ordered(c, m);
-  validate_kernelization(c, k, m);
+  EXPECT_TRUE(clean(verify::verify_kernelization(c, k, m)));
 }
 
 TEST_P(KernelizeFamilyTest, GreedyProducesValidKernelization) {
   const Circuit c = circuits::make_family(GetParam(), 10);
   const CostModel m = CostModel::default_model();
   const Kernelization k = kernelize_greedy(c, m);
-  validate_kernelization(c, k, m);
+  EXPECT_TRUE(clean(verify::verify_kernelization(c, k, m)));
 }
 
 TEST_P(KernelizeFamilyTest, Theorem6DpAtMostOrdered) {
@@ -213,7 +214,7 @@ TEST(Kernelize, SingleGateCircuit) {
   c.add(Gate::ccx(0, 1, 2));
   const CostModel m = CostModel::default_model();
   const Kernelization k = kernelize_dp(c, m);
-  validate_kernelization(c, k, m);
+  EXPECT_TRUE(clean(verify::verify_kernelization(c, k, m)));
   ASSERT_EQ(k.kernels.size(), 1u);
 }
 
@@ -242,7 +243,7 @@ TEST(Kernelize, HhlManyGatesFewQubitsCompletes) {
   DpOptions opt;
   opt.prune_threshold = 64;
   const Kernelization dp = kernelize_dp(c, m, opt);
-  validate_kernelization(c, dp, m);
+  EXPECT_TRUE(clean(verify::verify_kernelization(c, dp, m)));
   const Kernelization ordered = kernelize_ordered(c, m);
   EXPECT_LE(dp.total_cost, ordered.total_cost + 1e-9);
 }

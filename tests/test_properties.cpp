@@ -17,6 +17,7 @@
 #include "sim/reference.h"
 #include "staging/snuqs.h"
 #include "staging/stager.h"
+#include "verify_matchers.h"
 
 namespace atlas {
 namespace {
@@ -154,7 +155,7 @@ TEST_P(StagingSweepTest, ValidAndMonotoneAcrossLocalSizes) {
     shape.num_global = std::min(2, 13 - local);
     shape.num_regional = 13 - local - shape.num_global;
     const auto staged = staging::stage_with_bnb(c, shape);
-    staging::validate_staging(c, staged, shape);
+    EXPECT_TRUE(clean(verify::verify_staged(c, staged, shape)));
     // More local qubits never force more stages (the ILP's optimality
     // property the paper contrasts with SnuQS's non-monotonicity).
     EXPECT_LE(staged.stages.size(), prev_stages)
@@ -180,7 +181,7 @@ TEST_P(KernelizePropertyTest, DpValidAndAtMostBaselinesOnRandom) {
     kernelize::DpOptions opt;
     opt.prune_threshold = t;
     const auto dp = kernelize::kernelize_dp(c, model, opt);
-    kernelize::validate_kernelization(c, dp, model);
+    EXPECT_TRUE(clean(verify::verify_kernelization(c, dp, model)));
     if (t == 500) {
       EXPECT_LE(dp.total_cost,
                 kernelize::kernelize_greedy(c, model).total_cost + 1e-9)
@@ -251,7 +252,7 @@ TEST(Property, EveryEnginePairMatchesReference) {
     const StateVector expected = simulate_reference(c);
     for (const auto& [stager_name, stage] : stagers) {
       const staging::StagedCircuit staged = stage(c, shape);
-      staging::validate_staging(c, staged, shape);
+      EXPECT_TRUE(clean(verify::verify_staged(c, staged, shape)));
       EXPECT_GE(staged.stages.size(), 2u) << stager_name << ", n=" << n;
       for (const auto& [kernelizer_name, kernelize_fn] : kernelizers) {
         SCOPED_TRACE(::testing::Message()
@@ -264,10 +265,10 @@ TEST(Property, EveryEnginePairMatchesReference) {
           ps.partition = stage_info.partition;
           ps.subcircuit = c.subcircuit(stage_info.gate_indices);
           ps.kernels = kernelize_fn(ps.subcircuit, cfg.cost_model);
-          kernelize::validate_kernelization(ps.subcircuit, ps.kernels,
-                                            cfg.cost_model);
           plan.stages.push_back(std::move(ps));
         }
+        EXPECT_TRUE(clean(verify::verify_plan(
+            plan, shape, cfg.cost_model, &c, verify::VerifyLevel::paranoid)));
         exec::DistState state =
             session.executor().initial_state(plan, session.cluster());
         session.execute(plan, state);

@@ -15,6 +15,7 @@
 #include "kernelize/kernelizer.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "verify_matchers.h"
 
 namespace atlas {
 namespace {
@@ -474,7 +475,7 @@ TEST(KernelizeBest, NeverWorseThanDpOrOrdered) {
        {circuits::qft(7), circuits::make_family("ghz", 9),
         circuits::random_circuit(6, 40, 3)}) {
     const auto b = kernelize::kernelize_best(c, model, opts);
-    kernelize::validate_kernelization(c, b, model);
+    EXPECT_TRUE(clean(verify::verify_kernelization(c, b, model)));
     const double d = kernelize::kernelize_dp(c, model, opts).total_cost;
     const double o = kernelize::kernelize_ordered(c, model).total_cost;
     // The min of the two candidates, bit for bit.

@@ -9,6 +9,7 @@
 #include "staging/reduce.h"
 #include "staging/snuqs.h"
 #include "staging/stager.h"
+#include "verify_matchers.h"
 
 namespace atlas {
 namespace staging {
@@ -68,7 +69,7 @@ TEST(Reduce, AssignOriginalStagesRespectsDependencies) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level tests. Every result must pass validate_staging.
+// Engine-level tests. Every result must pass verify_staged.
 
 class StagingFamilyTest
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
@@ -80,7 +81,7 @@ TEST_P(StagingFamilyTest, ProducesValidStaging) {
   const MachineShape shape = shape_of(n, 6, 2, 2);
   const StagedCircuit staged = engine == "bnb" ? stage_with_bnb(c, shape)
                                                 : stage_with_snuqs(c, shape);
-  validate_staging(c, staged, shape);
+  EXPECT_TRUE(clean(verify::verify_staged(c, staged, shape)));
   EXPECT_GE(staged.stages.size(), 1u);
 }
 
@@ -112,8 +113,8 @@ TEST(Staging, GhzChainStageCountMatchesPrefixPacking) {
   const StagedCircuit via_bnb = stage_with_bnb(c, shape);
   const auto via_ilp = stage_with_ilp(c, shape);
   ASSERT_TRUE(via_ilp.has_value());
-  validate_staging(c, via_bnb, shape);
-  validate_staging(c, *via_ilp, shape);
+  EXPECT_TRUE(clean(verify::verify_staged(c, via_bnb, shape)));
+  EXPECT_TRUE(clean(verify::verify_staged(c, *via_ilp, shape)));
   EXPECT_EQ(via_bnb.stages.size(), via_ilp->stages.size());
 }
 
@@ -149,8 +150,8 @@ TEST_P(IlpVsBnbTest, StageCountsAgree) {
   const auto via_ilp = stage_with_ilp(cse.circuit, cse.shape, ilp_opt);
   ASSERT_TRUE(via_ilp.has_value()) << cse.name;
   const StagedCircuit via_bnb = stage_with_bnb(cse.circuit, cse.shape);
-  validate_staging(cse.circuit, *via_ilp, cse.shape);
-  validate_staging(cse.circuit, via_bnb, cse.shape);
+  EXPECT_TRUE(clean(verify::verify_staged(cse.circuit, *via_ilp, cse.shape)));
+  EXPECT_TRUE(clean(verify::verify_staged(cse.circuit, via_bnb, cse.shape)));
   EXPECT_EQ(via_bnb.stages.size(), via_ilp->stages.size()) << cse.name;
 }
 
@@ -166,8 +167,8 @@ TEST(Staging, BnbNeverWorseThanSnuqsOnFamilies) {
     const MachineShape shape = shape_of(n, 7, 2, 3);
     const auto atlas_staged = stage_with_bnb(c, shape);
     const auto snuqs_staged = stage_with_snuqs(c, shape);
-    validate_staging(c, atlas_staged, shape);
-    validate_staging(c, snuqs_staged, shape);
+    EXPECT_TRUE(clean(verify::verify_staged(c, atlas_staged, shape)));
+    EXPECT_TRUE(clean(verify::verify_staged(c, snuqs_staged, shape)));
     EXPECT_LE(atlas_staged.stages.size(), snuqs_staged.stages.size())
         << family;
   }
@@ -196,7 +197,7 @@ TEST(Staging, LargeCircuitCompletesQuickly) {
   const Circuit c = circuits::vqc(31);
   const MachineShape shape = shape_of(31, 25, 2, 4);
   const StagedCircuit staged = stage_circuit(c, shape);
-  validate_staging(c, staged, shape);
+  EXPECT_TRUE(clean(verify::verify_staged(c, staged, shape)));
   EXPECT_GE(staged.stages.size(), 2u);
 }
 
@@ -210,7 +211,7 @@ TEST(Snuqs, WorseOrEqualWithMoreLocals) {
     shape.num_global = std::min(2, 12 - local);
     shape.num_regional = 12 - local - shape.num_global;
     const auto staged = stage_with_snuqs(c, shape);
-    validate_staging(c, staged, shape);
+    EXPECT_TRUE(clean(verify::verify_staged(c, staged, shape)));
   }
 }
 

@@ -1,6 +1,7 @@
 // Verification-layer tests: adversarial corruption of every artifact
 // the verify/ checkers cover (hand-assembled circuits, stagings,
-// plans, stage programs, Kraus sets, readout confusion), asserting the
+// kernelizations, plans, stage programs, Kraus sets, readout
+// confusion), asserting the
 // precise diagnostic Code each corruption class raises — plus a
 // clean-pass property sweep over the Table-I benchmark families at
 // paranoid level proving the checkers raise no false positives on
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -22,10 +24,12 @@
 #include "ir/gate.h"
 #include "ir/matrix.h"
 #include "ir/param.h"
+#include "kernelize/dp_kernelizer.h"
 #include "noise/channel.h"
 #include "noise/model.h"
 #include "staging/stage.h"
 #include "verify/verify.h"
+#include "verify_matchers.h"
 
 namespace atlas {
 namespace {
@@ -40,19 +44,23 @@ bool has_code(const VerifyReport& report, Code code) {
   return false;
 }
 
-// Renders the report into the gtest failure message.
-::testing::AssertionResult clean(const VerifyReport& report) {
-  if (report.ok()) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure() << report.to_string();
-}
+// The cost model CompilePipeline::Config plans with by default.
+kernelize::CostModel model() { return kernelize::CostModel::default_model(); }
 
 exec::ExecutionPlan make_plan(const Circuit& circuit,
                               const staging::MachineShape& shape) {
   CompilePipeline::Config pc;
   pc.shape = shape;
-  pc.verify = VerifyLevel::off;  // tests corrupt the artifacts themselves
   const CompilePipeline pipeline(pc);
   return pipeline.build_plan(circuit, nullptr);
+}
+
+// The first kernel of `plan` holding at least two gates, or null.
+kernelize::Kernel* multi_gate_kernel(exec::ExecutionPlan& plan) {
+  for (auto& stage : plan.stages)
+    for (auto& kernel : stage.kernels.kernels)
+      if (kernel.gate_indices.size() >= 2) return &kernel;
+  return nullptr;
 }
 
 // ghz(4) = h q0; cx q0,q1; cx q1,q2; cx q2,q3 — and a staging of it
@@ -178,7 +186,8 @@ TEST(VerifyPlan, RealPlanPasses) {
   const Circuit c = circuits::ghz(4);
   const auto plan = make_plan(c, shape211());
   EXPECT_TRUE(clean(
-      verify::verify_plan(plan, shape211(), &c, VerifyLevel::paranoid)));
+      verify::verify_plan(plan, shape211(), model(), &c,
+                          VerifyLevel::paranoid)));
 }
 
 TEST(VerifyPlan, SubcircuitIndexMismatch) {
@@ -187,7 +196,7 @@ TEST(VerifyPlan, SubcircuitIndexMismatch) {
   ASSERT_FALSE(plan.stages.empty());
   ASSERT_FALSE(plan.stages[0].original_indices.empty());
   plan.stages[0].original_indices.pop_back();
-  const auto report = verify::verify_plan(plan, shape211());
+  const auto report = verify::verify_plan(plan, shape211(), model());
   EXPECT_TRUE(has_code(report, Code::stage_subcircuit_mismatch));
 }
 
@@ -199,7 +208,7 @@ TEST(VerifyPlan, KernelDropsAGate) {
   auto& kernel = plan.stages[0].kernels.kernels.back();
   ASSERT_FALSE(kernel.gate_indices.empty());
   kernel.gate_indices.pop_back();
-  const auto report = verify::verify_plan(plan, shape211());
+  const auto report = verify::verify_plan(plan, shape211(), model());
   EXPECT_TRUE(has_code(report, Code::kernel_coverage));
 }
 
@@ -211,8 +220,58 @@ TEST(VerifyPlan, KernelLiesAboutItsQubits) {
   auto& kernel = plan.stages[0].kernels.kernels[0];
   ASSERT_FALSE(kernel.qubits.empty());
   kernel.qubits.pop_back();  // declared union no longer matches members
-  const auto report = verify::verify_plan(plan, shape211());
+  const auto report = verify::verify_plan(plan, shape211(), model());
   EXPECT_TRUE(has_code(report, Code::kernel_qubits));
+}
+
+TEST(VerifyPlan, KernelOrderSwapsDependentGates) {
+  // ghz is a chain: every two gates of one kernel share a qubit, so
+  // running a kernel's gates backwards reorders dependent gates.
+  const Circuit c = circuits::ghz(4);
+  auto plan = make_plan(c, shape211());
+  kernelize::Kernel* kernel = multi_gate_kernel(plan);
+  ASSERT_NE(kernel, nullptr);
+  std::reverse(kernel->gate_indices.begin(), kernel->gate_indices.end());
+  const auto report = verify::verify_plan(plan, shape211(), model());
+  EXPECT_TRUE(has_code(report, Code::kernel_order)) << report.to_string();
+}
+
+TEST(VerifyPlan, KernelCostEdited) {
+  const Circuit c = circuits::ghz(4);
+  auto plan = make_plan(c, shape211());
+  ASSERT_FALSE(plan.stages.empty());
+  ASSERT_FALSE(plan.stages[0].kernels.kernels.empty());
+  plan.stages[0].kernels.kernels[0].cost += 0.5;
+  const auto report = verify::verify_plan(plan, shape211(), model());
+  ASSERT_FALSE(report.ok());
+  for (const auto& d : report.diags) {
+    EXPECT_EQ(d.code, Code::kernel_cost) << d.to_string();
+    EXPECT_EQ(d.stage, 0);
+  }
+}
+
+// --- kernelization invariants -------------------------------------------
+
+TEST(VerifyKernelization, DpKernelizationPasses) {
+  const Circuit c = circuits::qft(6);
+  EXPECT_TRUE(clean(verify::verify_kernelization(
+      c, kernelize::kernelize_dp(c, model()), model())));
+}
+
+TEST(VerifyKernelization, OverWideFusionKernel) {
+  // One fusion kernel over 8 qubits; the default model fuses at most 7.
+  Circuit c(8);
+  kernelize::Kernelization k;
+  k.kernels.emplace_back();
+  for (Qubit q = 0; q < 8; ++q) {
+    c.add(Gate::h(q));
+    k.kernels[0].gate_indices.push_back(q);
+    k.kernels[0].qubits.push_back(q);
+  }
+  const auto report = verify::verify_kernelization(c, k, model());
+  ASSERT_EQ(report.diags.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.diags[0].code, Code::kernel_width);
+  EXPECT_EQ(report.diags[0].kernel, 0);
 }
 
 // --- stage-program invariants -------------------------------------------
@@ -330,6 +389,19 @@ TEST(VerifyCheck, CleanReportIsANoOp) {
   EXPECT_NO_THROW(verify::check(verify::verify_circuit(circuits::ghz(3))));
 }
 
+// --- levels -------------------------------------------------------------
+
+TEST(VerifyLevels, DefaultSessionChecksEveryPhaseBoundary) {
+  SessionConfig cfg;  // verify_level left at its default
+  cfg.cluster.local_qubits = 3;
+  cfg.cluster.regional_qubits = 1;
+  cfg.cluster.gpus_per_node = 2;
+  cfg.cluster.num_threads = 1;
+  const Session session(cfg);
+  EXPECT_EQ(session.compile(circuits::ghz(4)).diagnostics().verify_level,
+            VerifyLevel::boundaries);
+}
+
 // --- clean-pass property sweep ------------------------------------------
 
 // Every Table-I family circuit the real pipeline can produce must pass
@@ -359,8 +431,8 @@ TEST(VerifyProperty, TableOneFamiliesCleanAtParanoid) {
       const CompilePipeline pipeline(pc);
       exec::ExecutionPlan plan;
       ASSERT_NO_THROW(plan = pipeline.build_plan(pipeline.optimize(c), nullptr));
-      EXPECT_TRUE(clean(verify::verify_plan(plan, pc.shape, nullptr,
-                                            VerifyLevel::paranoid)));
+      EXPECT_TRUE(clean(verify::verify_plan(plan, pc.shape, pc.cost_model,
+                                            nullptr, VerifyLevel::paranoid)));
     }
   }
 }

@@ -47,7 +47,7 @@ struct Options {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: atlas-lint [--level off|boundaries|paranoid] [--shape L,R,G]\n"
+      "usage: atlas-lint [--level boundaries|paranoid] [--shape L,R,G]\n"
       "                  [--opt 0|1|2] <file.qasm>...\n"
       "       atlas-lint --metrics-catalog <names.h>\n"
       "\n"
@@ -60,8 +60,7 @@ void usage() {
 }
 
 bool parse_level(const std::string& s, VerifyLevel& out) {
-  if (s == "off") out = VerifyLevel::off;
-  else if (s == "boundaries") out = VerifyLevel::boundaries;
+  if (s == "boundaries") out = VerifyLevel::boundaries;
   else if (s == "paranoid") out = VerifyLevel::paranoid;
   else return false;
   return true;
@@ -155,8 +154,7 @@ int lint_file(const std::string& file, const Options& opts) {
     atlas::CompilePipeline::Config pc;
     pc.shape = opts.shape;
     pc.opt.level = opts.opt_level;
-    pc.verify = opts.level == VerifyLevel::off ? VerifyLevel::boundaries
-                                               : opts.level;
+    pc.verify = opts.level;
     const atlas::CompilePipeline pipeline(pc);
     try {
       atlas::CompileDiagnostics diag;
@@ -248,13 +246,7 @@ int main(int argc, char** argv) {
       }
       opts.have_shape = true;
     } else if (arg == "--opt" && i + 1 < argc) {
-      const auto level = atlas::parse_uint(argv[++i], 0, 2);
-      if (!level) {
-        std::fprintf(stderr, "atlas-lint: bad --opt '%s' (want 0, 1 or 2)\n",
-                     argv[i]);
-        return 2;
-      }
-      opts.opt_level = static_cast<int>(*level);
+      opts.opt_level = atlas::parse_arg(argv[0], "--opt", argv[++i], 0, 2);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "atlas-lint: unknown option '%s'\n", arg.c_str());
       usage();
